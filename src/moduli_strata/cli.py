@@ -19,7 +19,7 @@ from . import __version__
 from .errors import DimensionCalculusError
 from .hecke_groups import gamma_gamma_codim, max_product_dim, sp_total_dim
 from .moduli import GroupExpr, SpAtom, SUFormAtom
-from .partitions import SetPartition, integer_partitions
+from .partitions import integer_partitions
 from .planner import (
     SymplecticFamily,
     UnitaryFamily,
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fixed", type=_dims, default=(), help="fixed factor dimensions a,b,...")
     p.add_argument("--varying", type=_dims, help="varying factor dimensions a,b,...")
     p.add_argument("--unitary", type=_pq, help="unitary parameters p,q")
-    p.add_argument("--elliptic", type=int, default=0, help="fixed elliptic factor count (unitary)")
+    p.add_argument("--elliptic", type=int, help="fixed elliptic factor count (unitary)")
     p.add_argument("--require-feasible", action="store_true")
     common(p)
 
@@ -184,7 +184,9 @@ def _build_spec(args: argparse.Namespace):
         raise UsageError("give either --varying or --unitary, not both")
     if args.unitary is not None:
         p, q = args.unitary
-        return UnitaryFamily(elliptic_count=args.elliptic, p=p, q=q)
+        return UnitaryFamily(elliptic_count=args.elliptic or 0, p=p, q=q)
+    if args.elliptic is not None:
+        raise UsageError("--elliptic applies only with --unitary")
     if args.varying is not None:
         return SymplecticFamily(fixed_dims=args.fixed, varying_dims=args.varying)
     raise UsageError("a family spec needs --varying or --unitary")
@@ -249,17 +251,11 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     for sizes in integer_partitions(g):
         if len(sizes) < 2:
             continue
-        blocks = []
-        start = 1
-        for s in sizes:
-            blocks.append(tuple(range(start, start + s)))
-            start += s
-        lam = SetPartition.from_blocks(blocks, g)
         classes.append(
             {
                 "block_sizes": list(sizes),
                 "gamma_dim": sum(l * (2 * l + 1) for l in sizes),
-                "translate_codim": gamma_gamma_codim(g, lam),
+                "translate_codim": gamma_gamma_codim(sizes),
             }
         )
     result = {

@@ -15,6 +15,9 @@ Two maximizers over all proper pairs are provided: exhaustive enumeration
 of canonical intersection-matrix types (complete for ground sizes up to 8)
 and a memoized best-completion search over column structures that scales
 further; they agree wherever both run.
+
+The translate codimension has the closed form 4(g - largest block); the
+completion search serves only ``max_product_dim`` for g > 8 and C5.6.
 """
 
 from __future__ import annotations
@@ -112,17 +115,10 @@ def max_product_dim(g: int, collect_all: bool = False) -> MaxProductDim:
                 winners.append(matrix)
         winners.sort(key=IntersectionMatrix.sort_key)
         return MaxProductDim(g, best, winners[0], tuple(winners) if collect_all else ())
-    best = -1
-    best_sizes: tuple[int, ...] | None = None
-    for sizes in integer_partitions(g):
-        if len(sizes) < 2:
-            continue
-        value = sum(_weight(l) for l in sizes) + _best_against(sizes)
-        if value > best:
-            best, best_sizes = value, sizes
-    assert best_sizes is not None
-    witness = _witness_matrix(best_sizes)
-    return MaxProductDim(g, best, witness, (witness,) if collect_all else ())
+    sizes = min((s for s in integer_partitions(g) if len(s) > 1), key=gamma_gamma_codim_by_search)
+    witness = _witness_matrix(sizes)
+    value = sp_total_dim(g) - gamma_gamma_codim_by_search(sizes)
+    return MaxProductDim(g, value, witness, (witness,) if collect_all else ())
 
 
 def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[SetPartition, SetPartition]]:
@@ -219,16 +215,8 @@ def _best_against(block_sizes: Sequence[int]) -> int:
     """max over proper mu of [dim(mu) - dim(meet)] for fixed first sizes."""
     caps = tuple(sorted(block_sizes, reverse=True))
     total = sum(caps)
-    best = None
-    for value, colsum, _g, rest in _columns(caps):
-        if colsum == total:
-            continue  # a single column would be the improper one-block mu
-        candidate = value + _best_fill(rest)
-        if best is None or candidate > best:
-            best = candidate
-    if best is None:
-        raise GroundTooSmall("ground size below 2 admits no proper completion")
-    return best
+    # a single column would be the improper one-block mu
+    return max(value + _best_fill(rest) for value, colsum, _g, rest in _columns(caps) if colsum != total)
 
 
 def _witness_matrix(block_sizes: Sequence[int]) -> IntersectionMatrix:
@@ -271,25 +259,45 @@ def _witness_matrix(block_sizes: Sequence[int]) -> IntersectionMatrix:
     return IntersectionMatrix(entries)
 
 
-def gamma_gamma_codim(g: int, lam: SetPartition) -> int:
-    """Codimension of the union of translates of the lam subgroup.
+def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
+    """Block sizes of a proper partition, largest first; rejects the rest."""
+    sizes = tuple(sorted(block_sizes, reverse=True))
+    if any(l < 1 for l in sizes):
+        raise ValueError(f"block sizes must be >= 1, got {tuple(block_sizes)}")
+    if sum(sizes) < 2:
+        raise GroundTooSmall(f"need g >= 2, got {sum(sizes)}")
+    if len(sizes) < 2:
+        raise NotProper("a proper partition is required")
+    return sizes
+
+
+def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
+    """Codimension of the union of translates of a proper lam subgroup.
 
     This is 2g^2 + g minus the maximum product dimension against lam over
-    all proper partitions; it is at least 4 for every proper lam.
+    proper mu.  It depends only on lam's block sizes and equals
+    4(g - largest block), hence is at least 4.  Proof: the linear parts of
+    the l(2l+1) weights cancel, so over the intersection matrix codim(lam,
+    mu) = 2(g^2 - sum r^2 - sum c^2 + sum e^2) = 4 #{edges of the complete
+    multipartite graph K(lam) cut by mu}.  Merging blocks of mu never cuts
+    more edges, so the minimum is the edge connectivity of K(lam); a graph
+    of diameter <= 2 has edge connectivity equal to its minimum degree
+    (Plesnik 1975), here g - largest block.
     """
-    if g < 2:
-        raise GroundTooSmall(f"need g >= 2, got {g}")
-    if lam.ground_size != g:
-        raise GroundTooSmall(f"partition lives on ground {lam.ground_size}, not {g}")
-    if not lam.is_proper:
-        raise NotProper("a proper partition is required")
-    best = gamma_dim(lam) + _best_against(lam.block_sizes)
-    return sp_total_dim(g) - best
+    sizes = _proper_sizes(block_sizes)
+    return 4 * (sum(sizes) - sizes[0])
 
 
-def gamma_gamma_codim_by_pairs(g: int, lam: SetPartition) -> int:
+def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
+    """Cross-check of ``gamma_gamma_codim`` by the memoized completion search."""
+    sizes = _proper_sizes(block_sizes)
+    return sp_total_dim(sum(sizes)) - sum(_weight(l) for l in sizes) - _best_against(sizes)
+
+
+def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:
     """Brute-force cross-check of ``gamma_gamma_codim`` over all proper mu."""
-    if not lam.is_proper:
-        raise NotProper("a proper partition is required")
-    best = max(product_dim(mu, lam) for mu in enumerate_proper_partitions(g))
-    return sp_total_dim(g) - best
+    sizes = _proper_sizes(block_sizes)
+    ends = itertools.accumulate(sizes)
+    lam = SetPartition.from_blocks(range(end - l + 1, end + 1) for l, end in zip(sizes, ends))
+    mus = enumerate_proper_partitions(lam.ground_size)
+    return sp_total_dim(lam.ground_size) - max(product_dim(mu, lam) for mu in mus)

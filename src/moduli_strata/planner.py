@@ -43,7 +43,6 @@ from .moduli import (
     torelli_codim,
     unitary_dim,
 )
-from .partitions import SetPartition
 from .strata import (
     DecompositionShape,
     MinCodim,
@@ -128,26 +127,6 @@ def derived_mt(spec: FamilySpec) -> GroupExpr:
     return GroupExpr.of([SUFormAtom(spec.p, spec.q)])
 
 
-def _spec_partition(spec: FamilySpec) -> SetPartition | None:
-    """The decomposition of {1..g} induced by the spec's factor sizes.
-
-    Returns None when there is only one block (nothing proper to margin
-    against).
-    """
-    if isinstance(spec, SymplecticFamily):
-        sizes = list(spec.fixed_dims) + list(spec.varying_dims)
-    else:
-        sizes = [1] * spec.elliptic_count + [spec.p + spec.q]
-    if len(sizes) < 2:
-        return None
-    blocks: list[tuple[int, ...]] = []
-    start = 1
-    for s in sizes:
-        blocks.append(tuple(range(start, start + s)))
-        start += s
-    return SetPartition.from_blocks(blocks)
-
-
 @dataclass(frozen=True)
 class PlanReport:
     """Everything the budget arithmetic produces for one family spec."""
@@ -224,6 +203,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
         raise SpecInvalid(violations)
     notes: list[str] = []
     if isinstance(spec, SymplecticFamily):
+        sizes = spec.fixed_dims + spec.varying_dims
         ambient = sum(siegel_dim(d) for d in spec.varying_dims)
         mdec = mdec_codim_fixedpart(DecompositionShape(spec.fixed_dims, spec.varying_dims))
         per_factor = [boundary_codim(Siegel(d)) for d in spec.varying_dims]
@@ -234,6 +214,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
                 "every varying factor, and (for the varying factors) general in moduli"
             )
     else:
+        sizes = (1,) * spec.elliptic_count + (spec.p + spec.q,)
         ambient = unitary_dim(spec.p, spec.q)
         mdec = mdec_codim_unitary_fixedpart(spec.elliptic_count, spec.p, spec.q)
         boundary = boundary_codim(UnitarySpace(spec.p, spec.q))
@@ -256,12 +237,11 @@ def plan_family(spec: FamilySpec) -> PlanReport:
                 f"d_max {d_max} is below the closed-form bound {closed - 1}; "
                 "the stratum enumeration is authoritative"
             )
-    lam = _spec_partition(spec)
-    if lam is None:
+    if len(sizes) < 2:
         margin = None
         notes.append("decomposition has a single factor; no translate margin to compute")
     else:
-        margin = gamma_gamma_codim(spec.total_g, lam)
+        margin = gamma_gamma_codim(sizes)
     return PlanReport(
         spec=spec,
         total_g=spec.total_g,

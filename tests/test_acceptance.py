@@ -133,7 +133,7 @@ def test_c04_unitary_minimum_actual_behavior():
 def test_c05_translate_margin():
     worst = {}
     for g in range(2, 8):
-        codims = [gamma_gamma_codim(g, lam) for lam in enumerate_proper_partitions(g)]
+        codims = [gamma_gamma_codim(lam.block_sizes) for lam in enumerate_proper_partitions(g)]
         worst[g] = min(codims)
     ok = all(v >= 4 for v in worst.values()) and worst[2] == 4
     report(5, "translate codimension >= 4 for every proper partition, g=2..7", ok,

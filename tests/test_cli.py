@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from moduli_strata import verify
 from moduli_strata.cli import run
 
 GOLDEN = [
@@ -37,6 +38,22 @@ class TestExitCodes:
     def test_require_feasible_passes_when_feasible(self, capsys):
         code, _, _ = invoke(capsys, ["kodaira", "--genus", "4", "--require-feasible"])
         assert code == 0
+
+    def test_translate_margin_disagreement_path(self, capsys, monkeypatch):
+        closed = verify.gamma_gamma_codim
+
+        def off_by_four(sizes):
+            return closed(sizes) + (4 if tuple(sizes) == (3, 1) else 0)
+
+        monkeypatch.setattr(verify, "gamma_gamma_codim", off_by_four)
+        bad = verify.run_check("C5.6", 5).disagreements
+        assert [(c.input["block_sizes"], c.expected, c.computed) for c in bad] == [([3, 1], 8, 4)]
+        assert bad[0].witness == {
+            "block_sizes": [3, 1], "closed_form": 8, "completion_search": 4, "pair_sweep": 4,
+        }
+        code, out, err = invoke(capsys, ["verify", "C5.6", "--g-max", "5", "--json"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["result"]["summary"]["disagreements"] == 1
 
     def test_verify_disagreement_path(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "L3.3", "--json"])
@@ -151,3 +168,16 @@ class TestOutputTargets:
     def test_usage_error_message_on_stderr(self, capsys):
         code, out, err = invoke(capsys, ["plan"])
         assert code == 1 and out == "" and "error" in err
+
+    def test_elliptic_needs_unitary(self, capsys):
+        code, out, err = invoke(capsys, ["plan", "--varying", "3", "--elliptic", "-2"])
+        assert code == 1 and out == ""
+        assert err.startswith("moduli-strata: error: ") and "--elliptic" in err
+
+
+class TestTranslateMargin:
+    def test_large_spec_margin(self, capsys):
+        # g = 28 with largest block 7: the closed form gives 4 * (28 - 7)
+        code, out, _ = invoke(capsys, ["plan", "--fixed", "1,2,3,4", "--varying", "5,6,7", "--json"])
+        assert code == 0
+        assert json.loads(out)["result"]["hecke_margin"] == 84

@@ -9,6 +9,7 @@ from moduli_strata.hecke_groups import (
     gamma_dim,
     gamma_gamma_codim,
     gamma_gamma_codim_by_pairs,
+    gamma_gamma_codim_by_search,
     gamma_subgroup,
     max_product_dim,
     max_product_dim_by_pairs,
@@ -20,6 +21,7 @@ from moduli_strata.hecke_groups import (
 from moduli_strata.partitions import (
     SetPartition,
     enumerate_proper_partitions,
+    integer_partitions,
     intersection_matrix,
     partition_from_rgs,
 )
@@ -158,23 +160,43 @@ class TestMaxProductDim:
 
 class TestTranslateMargin:
     def test_g2_example(self):
-        assert gamma_gamma_codim(2, blocks([1], [2])) == 4
+        assert gamma_gamma_codim((1, 1)) == 4
 
     def test_not_proper(self):
         with pytest.raises(NotProper):
-            gamma_gamma_codim(3, blocks([1, 2, 3]))
+            gamma_gamma_codim((3,))
 
-    @pytest.mark.parametrize("g", range(2, 6))
+    @pytest.mark.parametrize("g", range(2, 7))
     def test_completion_matches_brute_force(self, g):
-        for lam in enumerate_proper_partitions(g):
-            assert gamma_gamma_codim(g, lam) == gamma_gamma_codim_by_pairs(g, lam)
+        # closed form and completion search on the block sizes equal the
+        # pair sweep against every proper partition itself; the pair route
+        # sweeps against the consecutive layout of each size class
+        parts = enumerate_proper_partitions(g)
+        for lam in parts:
+            sizes = lam.block_sizes
+            direct = sp_total_dim(g) - max(product_dim(mu, lam) for mu in parts)
+            assert gamma_gamma_codim(sizes) == gamma_gamma_codim_by_search(sizes) == direct
+        for sizes in {tuple(sorted(lam.block_sizes)) for lam in parts}:
+            assert gamma_gamma_codim_by_pairs(sizes) == gamma_gamma_codim(sizes)
+
+    def test_closed_form_matches_search_on_every_class(self):
+        classes = [s for g in range(2, 13) for s in integer_partitions(g) if len(s) > 1]
+        assert len(classes) == 259
+        for sizes in classes:
+            assert gamma_gamma_codim(sizes) == gamma_gamma_codim_by_search(sizes), sizes
 
     @pytest.mark.parametrize("g", range(2, 8))
     def test_margin_at_least_four(self, g):
         for lam in enumerate_proper_partitions(g):
-            assert gamma_gamma_codim(g, lam) >= 4
+            assert gamma_gamma_codim(lam.block_sizes) >= 4
 
     def test_depends_only_on_block_sizes(self):
         a = blocks([1, 2], [3], [4])
         b = blocks([1], [2, 4], [3])
-        assert gamma_gamma_codim(4, a) == gamma_gamma_codim(4, b)
+        assert gamma_gamma_codim(a.block_sizes) == gamma_gamma_codim(b.block_sizes)
+
+    def test_rejects_improper_sizes(self):
+        with pytest.raises(GroundTooSmall):
+            gamma_gamma_codim((1,))
+        with pytest.raises(ValueError):
+            gamma_gamma_codim((2, 0))
