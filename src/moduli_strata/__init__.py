@@ -2,7 +2,7 @@
 
 The package computes, with exact integer arithmetic: set-partition
 combinatorics and canonical intersection-matrix types; dimensions and
-boundary codimensions of Siegel, unitary and curve moduli; strata of the
+boundary codimensions of Siegel and unitary moduli; strata of the
 repeated-factor locus with their minimal codimension; the partition-indexed
 symplectic subgroup calculus with its exhaustively verified maximum; and a
 planner for complete families of indecomposable abelian varieties with
@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 
 from .errors import (
     DimensionCalculusError,
+    Disagreement,
     GenusTooSmall,
     GroundMismatch,
     GroundTooSmall,
     InvalidShape,
-    NoCompactificationRule,
     NotProper,
     RankTooSmall,
-    RuleNotProven,
     SpecInvalid,
     TargetTooLarge,
     UnitaryBoundViolated,
@@ -28,11 +27,9 @@ from .errors import (
     VaryingDimTooSmall,
 )
 from .hecke_groups import (
-    GammaSubgroup,
     MaxProductDim,
     gamma_dim,
     gamma_gamma_codim,
-    gamma_subgroup,
     max_product_dim,
     max_product_dim_by_pairs,
     product_dim,
@@ -41,17 +38,12 @@ from .hecke_groups import (
 )
 from .moduli import (
     BoundaryCodim,
-    CurveModuli,
     GroupExpr,
     Siegel,
     SpAtom,
     SUFormAtom,
     UnitarySpace,
     boundary_codim,
-    dim_space,
-    group_dim,
-    sp_product,
-    su_form,
     torelli_codim,
 )
 from .partitions import (
@@ -65,21 +57,15 @@ from .partitions import (
     realize_matrix,
 )
 from .planner import (
-    EndAlgebra,
-    EndFactor,
     FamilySpec,
-    FieldKind,
     KodairaReport,
     PlanReport,
     SymplecticFamily,
     UnitaryFamily,
     derived_mt,
     kodaira_budget,
-    ns_rank,
     plan_family,
-    polarized_isogeny_closed,
     realize_group,
-    validate_spec,
 )
 from .strata import (
     DecompositionShape,
@@ -98,30 +84,25 @@ from .verify import CHECKS, CaseRecord, VerificationRun, run_check
 __all__ = [
     "__version__",
     # errors
-    "DimensionCalculusError", "GenusTooSmall", "GroundMismatch", "GroundTooSmall",
-    "InvalidShape", "NoCompactificationRule", "NotProper", "RankTooSmall",
-    "RuleNotProven", "SpecInvalid", "TargetTooLarge", "UnitaryBoundViolated",
-    "UnrealizableTarget", "VaryingDimTooSmall",
+    "DimensionCalculusError", "Disagreement", "GenusTooSmall", "GroundMismatch",
+    "GroundTooSmall", "InvalidShape", "NotProper", "RankTooSmall", "SpecInvalid",
+    "TargetTooLarge", "UnitaryBoundViolated", "UnrealizableTarget", "VaryingDimTooSmall",
     # partitions
     "SetPartition", "IntersectionMatrix", "bell_number", "enumerate_proper_partitions",
     "enumerate_matrix_types", "intersection_matrix", "meet", "realize_matrix",
     # moduli
-    "Siegel", "UnitarySpace", "CurveModuli", "BoundaryCodim", "GroupExpr",
-    "SpAtom", "SUFormAtom", "dim_space", "boundary_codim", "torelli_codim",
-    "group_dim", "sp_product", "su_form",
+    "Siegel", "UnitarySpace", "BoundaryCodim", "GroupExpr", "SpAtom", "SUFormAtom",
+    "boundary_codim", "torelli_codim",
     # strata
     "Stratum", "DecompositionShape", "MinCodim", "strata_of_product",
     "strata_of_shape", "strata_of_unitary", "mdec_codim_product",
     "mdec_codim_fixedpart", "mdec_codim_unitary", "mdec_codim_unitary_fixedpart",
     # hecke groups
-    "GammaSubgroup", "MaxProductDim", "gamma_dim", "gamma_subgroup", "product_dim",
-    "product_dim_from_matrix", "max_product_dim", "max_product_dim_by_pairs",
-    "gamma_gamma_codim", "sp_total_dim",
+    "MaxProductDim", "gamma_dim", "product_dim", "product_dim_from_matrix",
+    "max_product_dim", "max_product_dim_by_pairs", "gamma_gamma_codim", "sp_total_dim",
     # planner
     "SymplecticFamily", "UnitaryFamily", "FamilySpec", "PlanReport", "KodairaReport",
-    "EndAlgebra", "EndFactor", "FieldKind", "validate_spec", "plan_family",
-    "derived_mt", "realize_group", "kodaira_budget", "polarized_isogeny_closed",
-    "ns_rank",
+    "plan_family", "derived_mt", "realize_group", "kodaira_budget",
     # verification
     "CHECKS", "CaseRecord", "VerificationRun", "run_check",
 ]

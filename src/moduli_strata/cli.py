@@ -16,9 +16,9 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .errors import DimensionCalculusError
+from .errors import DimensionCalculusError, Disagreement
 from .hecke_groups import gamma_gamma_codim, max_product_dim, sp_total_dim
-from .moduli import GroupExpr, SpAtom, SUFormAtom
+from .moduli import GroupExpr, SpAtom, SUFormAtom, sp_dim
 from .partitions import integer_partitions
 from .planner import (
     SymplecticFamily,
@@ -27,12 +27,10 @@ from .planner import (
     plan_family,
     realize_group,
     spec_to_dict,
-    validate_spec,
 )
 from .strata import (
     DecompositionShape,
     mdec_codim_fixedpart,
-    mdec_codim_product,
     mdec_codim_unitary,
     strata_of_shape,
     strata_of_unitary,
@@ -83,25 +81,32 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", metavar="FILE", help="write the report to FILE instead of stdout")
         p.add_argument("--timing", action="store_true", help="include elapsed milliseconds")
+
+    def flavor(p: argparse.ArgumentParser, varying_help: str, unitary_help: str) -> None:
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--varying", type=_dims, help=varying_help)
+        group.add_argument("--unitary", type=_pq, help=unitary_help)
+
+    def witness_all(p: argparse.ArgumentParser) -> None:
         p.add_argument("--witness-all", action="store_true", help="list every tied witness")
 
     p = sub.add_parser("plan", help="dimension budget and monodromy for a family spec")
-    p.add_argument("--fixed", type=_dims, default=(), help="fixed factor dimensions a,b,...")
-    p.add_argument("--varying", type=_dims, help="varying factor dimensions a,b,...")
-    p.add_argument("--unitary", type=_pq, help="unitary parameters p,q")
+    p.add_argument("--fixed", type=_dims, default=(), help="fixed factor dimensions a,b,... (symplectic)")
+    flavor(p, "varying factor dimensions a,b,...", "unitary parameters p,q")
     p.add_argument("--elliptic", type=int, help="fixed elliptic factor count (unitary)")
     p.add_argument("--require-feasible", action="store_true")
     common(p)
 
     p = sub.add_parser("strata", help="enumerate repeated-factor strata")
-    p.add_argument("--fixed", type=_dims, default=())
-    p.add_argument("--varying", type=_dims)
-    p.add_argument("--unitary", type=_pq)
+    p.add_argument("--fixed", type=_dims, default=(), help="fixed factor dimensions a,b,... (symplectic)")
+    flavor(p, "varying factor dimensions a,b,...", "unitary parameters p,q")
     common(p)
+    witness_all(p)
 
     p = sub.add_parser("gamma", help="subgroup dimension calculus on a ground set")
     p.add_argument("--g", type=int, required=True, help="ground set size")
     common(p)
+    witness_all(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("lemma_id", choices=sorted(CHECKS), help="suite to run")
@@ -114,8 +119,7 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("realize", help="family spec realizing a target monodromy group")
-    p.add_argument("--varying", type=_dims, help="symplectic target ranks a,b,...")
-    p.add_argument("--unitary", type=_pq, help="unitary target parameters p,q")
+    flavor(p, "symplectic target ranks a,b,...", "unitary target parameters p,q")
     p.add_argument("--g", type=int, required=True, help="total dimension g'")
     common(p)
 
@@ -128,8 +132,11 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     else:
         text = _render_text(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -179,24 +186,23 @@ def _payload(command: str, inputs: dict, result: dict, notes: list[str]) -> dict
     }
 
 
+def _fixed_needs_varying(args: argparse.Namespace) -> None:
+    if args.fixed and args.unitary is not None:
+        raise UsageError("--fixed applies only with --varying")
+
+
 def _build_spec(args: argparse.Namespace):
-    if args.unitary is not None and args.varying is not None:
-        raise UsageError("give either --varying or --unitary, not both")
+    _fixed_needs_varying(args)
     if args.unitary is not None:
         p, q = args.unitary
         return UnitaryFamily(elliptic_count=args.elliptic or 0, p=p, q=q)
     if args.elliptic is not None:
         raise UsageError("--elliptic applies only with --unitary")
-    if args.varying is not None:
-        return SymplecticFamily(fixed_dims=args.fixed, varying_dims=args.varying)
-    raise UsageError("a family spec needs --varying or --unitary")
+    return SymplecticFamily(fixed_dims=args.fixed, varying_dims=args.varying)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    violations = validate_spec(spec)
-    if violations:
-        raise UsageError("invalid family spec: " + "; ".join(violations))
     report = plan_family(spec)
     payload = _payload("plan", spec_to_dict(spec), report.to_dict(), list(report.notes))
     _emit(payload, args)
@@ -206,26 +212,18 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_strata(args: argparse.Namespace) -> int:
+    _fixed_needs_varying(args)
     if args.unitary is not None:
         p, q = args.unitary
         strata = strata_of_unitary(p, q)
         minimum = mdec_codim_unitary(p, q)
         inputs = {"flavor": "unitary", "p": p, "q": q}
-    elif args.varying is not None:
-        if args.fixed:
-            shape = DecompositionShape(args.fixed, args.varying)
-            strata = strata_of_shape(shape)
-            minimum = mdec_codim_fixedpart(shape)
-        else:
-            strata = strata_of_shape(DecompositionShape((), args.varying))
-            minimum = mdec_codim_product(args.varying)
-        inputs = {
-            "flavor": "symplectic",
-            "fixed_dims": list(args.fixed),
-            "varying_dims": sorted(args.varying),
-        }
     else:
-        raise UsageError("strata needs --varying or --unitary")
+        shape = DecompositionShape(args.fixed, args.varying)
+        strata = strata_of_shape(shape)
+        minimum = mdec_codim_fixedpart(shape)
+        # --fixed is echoed in the order given
+        inputs = {"flavor": "symplectic", "fixed_dims": list(args.fixed), "varying_dims": list(shape.varying_dims)}
     result = {
         "ambient_dim": strata[0].ambient_dim if strata else 0,
         "count": len(strata),
@@ -254,7 +252,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         classes.append(
             {
                 "block_sizes": list(sizes),
-                "gamma_dim": sum(l * (2 * l + 1) for l in sizes),
+                "gamma_dim": sum(sp_dim(l) for l in sizes),
                 "translate_codim": gamma_gamma_codim(sizes),
             }
         )
@@ -302,17 +300,13 @@ def _cmd_kodaira(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    if args.unitary is not None and args.varying is not None:
-        raise UsageError("give either --varying or --unitary, not both")
     if args.unitary is not None:
         p, q = args.unitary
         target = GroupExpr.of([SUFormAtom(p, q)])
         inputs = {"target": target.label, "flavor": "unitary", "g_prime": args.g}
-    elif args.varying is not None:
+    else:
         target = GroupExpr.of(SpAtom(r) for r in args.varying)
         inputs = {"target": target.label, "flavor": "symplectic", "g_prime": args.g}
-    else:
-        raise UsageError("realize needs --varying (ranks) or --unitary p,q")
     spec = realize_group(target, args.g)
     report = plan_family(spec)
     result = {
@@ -346,6 +340,9 @@ def run(argv: Sequence[str]) -> int:
     except UsageError as exc:
         sys.stderr.write(f"{TOOL_NAME}: error: {exc}\n")
         return EXIT_USAGE
+    except Disagreement as exc:
+        sys.stderr.write(f"{TOOL_NAME}: disagreement: {exc}\n")
+        return EXIT_DISAGREEMENT
     except DimensionCalculusError as exc:
         sys.stderr.write(f"{TOOL_NAME}: error: {exc}\n")
         return EXIT_USAGE

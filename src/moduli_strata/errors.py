@@ -15,43 +15,37 @@ class GroundMismatch(DimensionCalculusError):
     """Two partitions live on ground sets of different sizes."""
 
 
-class VaryingDimTooSmall(DimensionCalculusError):
-    """A varying factor dimension is below the minimum of 2."""
-
-
-class InvalidShape(DimensionCalculusError):
-    """A decomposition shape violates its invariants."""
-
-
 class NotProper(DimensionCalculusError):
     """A single-block partition was supplied where a proper one is required."""
 
 
-class NoCompactificationRule(DimensionCalculusError):
-    """No boundary codimension rule is available for this space."""
-
-
 class SpecInvalid(DimensionCalculusError):
-    """A family specification failed validation.
+    """A family specification violates the rules of its flavor."""
 
-    Carries the list of violated hypotheses.
+
+class InvalidShape(SpecInvalid):
+    """A decomposition shape violates its rules."""
+
+
+class RankTooSmall(DimensionCalculusError):
+    """A symplectic rank is below 1 for an Sp atom or below 2 for a varying factor."""
+
+
+class VaryingDimTooSmall(InvalidShape, RankTooSmall):
+    """A shape has no varying factor, or one of dimension below 2.
+
+    A varying factor of dimension d has monodromy Sp(2d) of rank d, so a
+    realization target with a rank below 2 fails this same rule.
     """
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 class TargetTooLarge(DimensionCalculusError):
     """The target group does not fit inside the requested total dimension."""
 
 
-class RankTooSmall(DimensionCalculusError):
-    """A symplectic target atom has rank below 2."""
-
-
 class UnitaryBoundViolated(DimensionCalculusError):
-    """A unitary realization request violates 5 <= p+q+1 <= g'."""
+    """An SU(p, q) atom has p or q below 1, or a realization request
+    violates 5 <= p+q+1 <= g'."""
 
 
 class UnrealizableTarget(DimensionCalculusError):
@@ -62,5 +56,12 @@ class GenusTooSmall(DimensionCalculusError):
     """Fiber genus below 3; the budget method does not apply."""
 
 
-class RuleNotProven(DimensionCalculusError):
-    """The requested computation rule is only proven under stricter hypotheses."""
+class Disagreement(DimensionCalculusError):
+    """Two independent routes to the same number gave different values.
+
+    ``values`` maps each route's name to its value; the message names both.
+    """
+
+    def __init__(self, what: str, **values: object):
+        super().__init__(f"{what}: " + ", ".join(f"{k} {v}" for k, v in values.items()))
+        self.values = values

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import GroundTooSmall, NotProper
-from .moduli import GroupExpr, SpAtom
+from .errors import Disagreement, GroundTooSmall, NotProper
+from .moduli import sp_dim
 from .partitions import (
     IntersectionMatrix,
     SetPartition,
@@ -39,33 +39,14 @@ from .partitions import (
 )
 
 
-def _weight(l: int) -> int:
-    """Dimension contribution of one block of size l."""
-    return l * (2 * l + 1)
-
-
 def sp_total_dim(g: int) -> int:
     """Dimension 2g^2 + g of the full rank-g symplectic group."""
-    return 2 * g * g + g
+    return sp_dim(g)
 
 
 def gamma_dim(partition: SetPartition) -> int:
     """Dimension of the subgroup attached to a partition: sum of l(2l+1)."""
-    return sum(_weight(l) for l in partition.block_sizes)
-
-
-@dataclass(frozen=True)
-class GammaSubgroup:
-    """A partition together with its symplectic-product group and dimension."""
-
-    partition: SetPartition
-    group: GroupExpr
-    dim: int
-
-
-def gamma_subgroup(partition: SetPartition) -> GammaSubgroup:
-    group = GroupExpr.of(SpAtom(l) for l in partition.block_sizes)
-    return GammaSubgroup(partition, group, group.dim)
+    return sum(sp_dim(l) for l in partition.block_sizes)
 
 
 def product_dim(lam: SetPartition, mu: SetPartition) -> int:
@@ -75,9 +56,9 @@ def product_dim(lam: SetPartition, mu: SetPartition) -> int:
 
 def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
     """Same quantity computed from the intersection matrix alone."""
-    value = sum(_weight(s) for s in matrix.row_sums)
-    value += sum(_weight(s) for s in matrix.col_sums)
-    value -= sum(_weight(e) for row in matrix.entries for e in row if e)
+    value = sum(sp_dim(s) for s in matrix.row_sums)
+    value += sum(sp_dim(s) for s in matrix.col_sums)
+    value -= sum(sp_dim(e) for row in matrix.entries for e in row if e)
     return value
 
 
@@ -134,15 +115,15 @@ def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[SetPartition, SetPartit
     best_pair = (0, 0)
     for a in range(len(parts)):
         ids_a, sizes_a = data[a]
-        base_a = sum(_weight(l) for l in sizes_a)
+        base_a = sum(sp_dim(l) for l in sizes_a)
         for b in range(a, len(parts)):
             ids_b, sizes_b = data[b]
             cells: dict[tuple[int, int], int] = {}
             for x in range(g):
                 key = (ids_a[x], ids_b[x])
                 cells[key] = cells.get(key, 0) + 1
-            value = base_a + sum(_weight(l) for l in sizes_b)
-            value -= sum(_weight(c) for c in cells.values())
+            value = base_a + sum(sp_dim(l) for l in sizes_b)
+            value -= sum(sp_dim(c) for c in cells.values())
             if value > best:
                 best, best_pair = value, (a, b)
     return best, (parts[best_pair[0]], parts[best_pair[1]])
@@ -199,7 +180,7 @@ def _columns(
         if not parts:
             continue
         colsum = sum(parts)
-        value = _weight(colsum) - sum(_weight(v) for v in parts)
+        value = sp_dim(colsum) - sum(sp_dim(v) for v in parts)
         yield value, colsum, tuple(grouped), tuple(sorted(rest, reverse=True))
 
 
@@ -254,7 +235,9 @@ def _witness_matrix(block_sizes: Sequence[int]) -> IntersectionMatrix:
                 first = False
                 break
         else:
-            raise AssertionError("witness reconstruction failed")
+            raise Disagreement(
+                f"witness reconstruction for block sizes {caps}", search_optimum=target, reconstructed=target - need
+            )
     entries = tuple(tuple(col[i] for col in columns) for i in range(len(rows)))
     return IntersectionMatrix(entries)
 
@@ -291,7 +274,7 @@ def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
 def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
     """Cross-check of ``gamma_gamma_codim`` by the memoized completion search."""
     sizes = _proper_sizes(block_sizes)
-    return sp_total_dim(sum(sizes)) - sum(_weight(l) for l in sizes) - _best_against(sizes)
+    return sp_total_dim(sum(sizes)) - sum(sp_dim(l) for l in sizes) - _best_against(sizes)
 
 
 def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:

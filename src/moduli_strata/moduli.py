@@ -1,12 +1,11 @@
 """Exact dimensions of the ambient moduli spaces and symbolic groups.
 
-Everything here is integer arithmetic on three families of spaces:
+Everything here is integer arithmetic on two families of spaces:
 
 * ``Siegel(g)`` -- principally polarized abelian g-folds; dimension g(g+1)/2.
 * ``UnitarySpace(p, q)`` -- abelian (p+q)-folds with multiplication by an
   imaginary quadratic field acting with eigenspace dimensions (p, q);
   dimension p*q.
-* ``CurveModuli(g)`` -- smooth genus-g curves; dimension 3g-3.
 
 Group expressions are formal products of ``Sp(2k)`` and ``SU(p,q)``-form
 atoms with exact dimensions k(2k+1) and (p+q)^2 - 1.
@@ -17,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import GroundTooSmall, NoCompactificationRule
-
-#: Level structures are carried as metadata only; dimensions never depend on
-#: the level, so a single default is enough for most call sites.
-DEFAULT_LEVEL = 3
+from .errors import GroundTooSmall, RankTooSmall, UnitaryBoundViolated
 
 
 def half_exact(n: int) -> int:
@@ -46,7 +41,6 @@ class Siegel:
     """Moduli of principally polarized abelian g-folds (g = 0 is a point)."""
 
     g: int
-    level: int = DEFAULT_LEVEL
 
     def __post_init__(self) -> None:
         if self.g < 0:
@@ -63,41 +57,17 @@ class UnitarySpace:
 
     p: int
     q: int
-    level: int = DEFAULT_LEVEL
 
     def __post_init__(self) -> None:
         if self.p < 0 or self.q < 0:
             raise ValueError(f"Unitary parameters must be >= 0, got ({self.p}, {self.q})")
 
 
-@dataclass(frozen=True)
-class CurveModuli:
-    """Moduli of smooth genus-g curves, g >= 2."""
-
-    g: int
-    level: int = DEFAULT_LEVEL
-
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError(f"CurveModuli needs genus >= 2, got {self.g}")
-
-
-ModuliSpace = Union[Siegel, UnitarySpace, CurveModuli]
-
-
-def dim_space(space: ModuliSpace) -> int:
-    """Exact dimension of a moduli space."""
-    if isinstance(space, Siegel):
-        return space.g * (space.g + 1) // 2
-    if isinstance(space, UnitarySpace):
-        return space.p * space.q
-    if isinstance(space, CurveModuli):
-        return 3 * space.g - 3
-    raise TypeError(f"not a moduli space: {space!r}")
+ModuliSpace = Union[Siegel, UnitarySpace]
 
 
 def siegel_dim(g: int) -> int:
-    """Shorthand for ``dim_space(Siegel(g))`` used heavily by stratum sums."""
+    """Dimension g(g+1)/2 of the Siegel space of abelian g-folds."""
     if g < 0:
         raise ValueError(f"dimension must be >= 0, got {g}")
     return g * (g + 1) // 2
@@ -126,7 +96,7 @@ def boundary_codim(space: ModuliSpace) -> BoundaryCodim:
     Siegel(g): the boundary is a chain of lower Siegel spaces, so the
     codimension is exactly g.  UnitarySpace(p, q): the boundary strata are
     the spaces with parameters (p-r, q-r), giving the lower bound
-    pq - (p-1)(q-1) = p+q-1.  Curve moduli carry no rule here.
+    pq - (p-1)(q-1) = p+q-1.
     """
     if isinstance(space, Siegel):
         if space.g < 1:
@@ -136,8 +106,6 @@ def boundary_codim(space: ModuliSpace) -> BoundaryCodim:
         if space.p < 1 or space.q < 1:
             raise GroundTooSmall("boundary codimension needs p, q >= 1")
         return BoundaryCodim(space.p + space.q - 1, exact=False)
-    if isinstance(space, CurveModuli):
-        raise NoCompactificationRule("no boundary codimension rule for curve moduli")
     raise TypeError(f"not a moduli space: {space!r}")
 
 
@@ -148,6 +116,11 @@ def torelli_codim(g: int) -> int:
     return g * (g + 1) // 2 - (3 * g - 3)
 
 
+def sp_dim(l: int) -> int:
+    """Dimension l(2l+1) of Sp(2l); also the weight of a block of size l."""
+    return l * (2 * l + 1)
+
+
 @dataclass(frozen=True, order=True)
 class SpAtom:
     """A symplectic factor Sp(2*rank); dimension rank*(2*rank+1)."""
@@ -156,11 +129,11 @@ class SpAtom:
 
     def __post_init__(self) -> None:
         if self.rank < 1:
-            raise ValueError(f"Sp atom rank must be >= 1, got {self.rank}")
+            raise RankTooSmall(f"Sp atom rank must be >= 1, got {self.rank}")
 
     @property
     def dim(self) -> int:
-        return self.rank * (2 * self.rank + 1)
+        return sp_dim(self.rank)
 
     @property
     def label(self) -> str:
@@ -176,7 +149,7 @@ class SUFormAtom:
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.q < 1:
-            raise ValueError(f"SU-form parameters must be >= 1, got ({self.p}, {self.q})")
+            raise UnitaryBoundViolated(f"SU-form parameters must be >= 1, got ({self.p}, {self.q})")
 
     @property
     def dim(self) -> int:
@@ -218,17 +191,3 @@ class GroupExpr:
     @property
     def dim(self) -> int:
         return sum(a.dim for a in self.atoms)
-
-
-def sp_product(ranks: Iterable[int]) -> GroupExpr:
-    """Product of Sp(2k) atoms, one per rank."""
-    return GroupExpr.of(SpAtom(r) for r in ranks)
-
-
-def su_form(p: int, q: int) -> GroupExpr:
-    return GroupExpr.of([SUFormAtom(p, q)])
-
-
-def group_dim(expr: GroupExpr) -> int:
-    """Total dimension of a group expression."""
-    return expr.dim

@@ -17,13 +17,11 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 from .errors import (
+    Disagreement,
     GenusTooSmall,
-    RankTooSmall,
-    RuleNotProven,
     SpecInvalid,
     TargetTooLarge,
     UnitaryBoundViolated,
@@ -31,7 +29,6 @@ from .errors import (
 )
 from .hecke_groups import gamma_gamma_codim
 from .moduli import (
-    DEFAULT_LEVEL,
     BoundaryCodim,
     GroupExpr,
     Siegel,
@@ -52,21 +49,9 @@ from .strata import (
 )
 
 
-@dataclass(frozen=True)
-class SymplecticFamily:
-    """Fixed abelian factors plus varying full-moduli factors."""
-
-    fixed_dims: tuple[int, ...] = ()
-    varying_dims: tuple[int, ...] = ()
-    level: int = DEFAULT_LEVEL
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed_dims", tuple(sorted(self.fixed_dims)))
-        object.__setattr__(self, "varying_dims", tuple(sorted(self.varying_dims)))
-
-    @property
-    def total_g(self) -> int:
-        return sum(self.fixed_dims) + sum(self.varying_dims)
+#: Fixed abelian factors plus varying full-moduli factors; the shape's
+#: constructor enforces the symplectic rules.
+SymplecticFamily = DecompositionShape
 
 
 @dataclass(frozen=True)
@@ -77,8 +62,14 @@ class UnitaryFamily:
     elliptic_count: int
     p: int
     q: int
-    field_label: str = "L"
-    level: int = DEFAULT_LEVEL
+
+    def __post_init__(self) -> None:
+        if self.elliptic_count < 0:
+            raise SpecInvalid(f"elliptic factor count {self.elliptic_count} < 0")
+        if self.p < 1 or self.q < 1:
+            raise SpecInvalid(f"unitary parameters ({self.p},{self.q}) must be >= 1")
+        if self.p + self.q < 4:
+            raise SpecInvalid(f"p+q={self.p + self.q} < 4")
 
     @property
     def total_g(self) -> int:
@@ -88,40 +79,9 @@ class UnitaryFamily:
 FamilySpec = Union[SymplecticFamily, UnitaryFamily]
 
 
-def validate_spec(spec: FamilySpec) -> list[str]:
-    """List of violated hypotheses; empty means the spec is plannable."""
-    violations: list[str] = []
-    if isinstance(spec, SymplecticFamily):
-        if not spec.varying_dims:
-            violations.append("at least one varying factor is required")
-        for d in spec.varying_dims:
-            if d < 2:
-                violations.append(f"varying dim {d} < 2")
-        for d in spec.fixed_dims:
-            if d < 1:
-                violations.append(f"fixed dim {d} < 1")
-    elif isinstance(spec, UnitaryFamily):
-        if spec.elliptic_count < 0:
-            violations.append(f"elliptic factor count {spec.elliptic_count} < 0")
-        if spec.p < 1 or spec.q < 1:
-            violations.append(f"unitary parameters ({spec.p},{spec.q}) must be >= 1")
-        elif spec.p + spec.q < 4:
-            violations.append(f"p+q={spec.p + spec.q} < 4")
-        if not spec.field_label:
-            violations.append("field label must be nonempty")
-    else:
-        violations.append(f"unknown spec flavor: {type(spec).__name__}")
-    if spec.level < 3:
-        violations.append(f"level {spec.level} < 3")
-    return violations
-
-
 def derived_mt(spec: FamilySpec) -> GroupExpr:
     """Monodromy bound: the derived group of the generic Hodge-theoretic
     symmetry group.  Fixed factors are monodromy-invariant and drop out."""
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecInvalid(violations)
     if isinstance(spec, SymplecticFamily):
         return GroupExpr.of(SpAtom(d) for d in spec.varying_dims)
     return GroupExpr.of([SUFormAtom(spec.p, spec.q)])
@@ -166,20 +126,22 @@ class PlanReport:
 
 
 def spec_to_dict(spec: FamilySpec) -> dict:
+    # "level" and "field_label" stay in the report format as constants: no
+    # number depends on the level structure or on the name of the field.
     if isinstance(spec, SymplecticFamily):
         return {
             "flavor": "symplectic",
             "fixed_dims": list(spec.fixed_dims),
             "varying_dims": list(spec.varying_dims),
-            "level": spec.level,
+            "level": 3,
         }
     return {
         "flavor": "unitary",
         "elliptic_count": spec.elliptic_count,
         "p": spec.p,
         "q": spec.q,
-        "field_label": spec.field_label,
-        "level": spec.level,
+        "field_label": "L",
+        "level": 3,
     }
 
 
@@ -198,14 +160,11 @@ def plan_family(spec: FamilySpec) -> PlanReport:
     enumeration undercuts the closed form min(2p, p+q-2, 2q), the computed
     (smaller) budget is reported and the divergence is noted.
     """
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecInvalid(violations)
     notes: list[str] = []
     if isinstance(spec, SymplecticFamily):
         sizes = spec.fixed_dims + spec.varying_dims
         ambient = sum(siegel_dim(d) for d in spec.varying_dims)
-        mdec = mdec_codim_fixedpart(DecompositionShape(spec.fixed_dims, spec.varying_dims))
+        mdec = mdec_codim_fixedpart(spec)
         per_factor = [boundary_codim(Siegel(d)) for d in spec.varying_dims]
         boundary = BoundaryCodim(min(b.codim for b in per_factor), exact=all(b.exact for b in per_factor))
         if spec.fixed_dims:
@@ -229,7 +188,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
     if isinstance(spec, SymplecticFamily):
         expected = min(spec.varying_dims) - 1
         if d_max != expected:
-            raise AssertionError(f"symplectic budget {d_max} differs from bound {expected}")
+            raise Disagreement(f"symplectic budget for {spec}", d_max=d_max, min_varying_minus_one=expected)
     else:
         closed = unitary_closed_form(spec.p, spec.q)
         if closed is not None and d_max != closed - 1:
@@ -268,8 +227,6 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
     atoms = target.atoms
     if all(isinstance(a, SpAtom) for a in atoms):
         ranks = tuple(a.rank for a in atoms)  # type: ignore[union-attr]
-        if any(r < 2 for r in ranks):
-            raise RankTooSmall(f"every symplectic rank must be >= 2, got {ranks}")
         if g_prime < sum(ranks):
             raise TargetTooLarge(
                 f"target needs total dimension >= {sum(ranks)}, got g' = {g_prime}"
@@ -333,7 +290,7 @@ def kodaira_budget(fiber_genus: int) -> KodairaReport:
     if fiber_genus < 3:
         raise GenusTooSmall(f"fiber genus must be >= 3, got {fiber_genus}")
     spec = SymplecticFamily(fixed_dims=(1,), varying_dims=(fiber_genus - 1,))
-    mdec = mdec_codim_fixedpart(DecompositionShape(spec.fixed_dims, spec.varying_dims))
+    mdec = mdec_codim_fixedpart(spec)
     boundary = boundary_codim(Siegel(fiber_genus - 1))
     torelli = torelli_codim(fiber_genus)
     budget = min(mdec.codim, boundary.codim) - torelli
@@ -352,63 +309,3 @@ def kodaira_budget(fiber_genus: int) -> KodairaReport:
         monodromy=GroupExpr.of([SpAtom(fiber_genus - 1)]),
         notes=notes,
     )
-
-
-class FieldKind(str, Enum):
-    RATIONAL = "rational"
-    IMAGINARY_QUADRATIC = "imaginary_quadratic"
-    REAL_QUADRATIC = "real_quadratic"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class EndFactor:
-    """One factor of an endomorphism algebra with its multiplicity."""
-
-    kind: FieldKind
-    label: str = ""
-    multiplicity: int = 1
-
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if self.kind is not FieldKind.RATIONAL and not self.label:
-            raise ValueError(f"{self.kind.value} factors need a nonempty label")
-
-
-@dataclass(frozen=True)
-class EndAlgebra:
-    """Endomorphism algebra of an abelian variety as a product of fields."""
-
-    factors: tuple[EndFactor, ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise ValueError("an endomorphism algebra needs at least one factor")
-
-
-def polarized_isogeny_closed(alg: EndAlgebra) -> bool:
-    """Whether every isogeny class is guaranteed to be a polarized one.
-
-    True exactly when every factor is the rationals or an imaginary
-    quadratic field with multiplicity one.  False means "not guaranteed by
-    the multiplicity-one criterion", not "provably false".
-    """
-    return all(
-        f.multiplicity == 1 and f.kind in (FieldKind.RATIONAL, FieldKind.IMAGINARY_QUADRATIC)
-        for f in alg.factors
-    )
-
-
-def ns_rank(alg: EndAlgebra) -> int:
-    """Rank of the Neron-Severi group under the multiplicity-one criterion.
-
-    Each rational or imaginary quadratic factor contributes a rank-one
-    piece fixed by the polarization involution; outside that hypothesis the
-    rule is not proven and the call is refused.
-    """
-    if not polarized_isogeny_closed(alg):
-        raise RuleNotProven(
-            "rank rule requires multiplicity-one rational or imaginary quadratic factors"
-        )
-    return len(alg.factors)

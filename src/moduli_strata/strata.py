@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidShape, VaryingDimTooSmall
+from .errors import Disagreement, InvalidShape, VaryingDimTooSmall
 from .moduli import half_exact, quarter_exact, siegel_dim, unitary_dim
 
 
@@ -73,8 +73,10 @@ class Stratum:
 class DecompositionShape:
     """Fixed factor dimensions plus varying factor dimensions.
 
-    Both tuples are kept sorted ascending; fixed factors may be absent,
-    varying factors must all have dimension at least 2.
+    This is also the symplectic family spec (``planner.SymplecticFamily``).
+    Both tuples are kept sorted ascending; fixed factors may be absent and
+    have dimension at least 1, and at least one varying factor is required,
+    each of dimension at least 2.
     """
 
     fixed_dims: tuple[int, ...]
@@ -82,16 +84,16 @@ class DecompositionShape:
 
     def __post_init__(self) -> None:
         if not self.varying_dims:
-            raise InvalidShape("at least one varying factor is required")
+            raise VaryingDimTooSmall("at least one varying factor is required")
         if any(d < 2 for d in self.varying_dims):
-            raise InvalidShape(f"varying dimensions must be >= 2, got {self.varying_dims}")
+            raise VaryingDimTooSmall(f"varying dimensions must be >= 2, got {self.varying_dims}")
         if any(d < 1 for d in self.fixed_dims):
             raise InvalidShape(f"fixed dimensions must be >= 1, got {self.fixed_dims}")
         object.__setattr__(self, "fixed_dims", tuple(sorted(self.fixed_dims)))
         object.__setattr__(self, "varying_dims", tuple(sorted(self.varying_dims)))
 
     @property
-    def total(self) -> int:
+    def total_g(self) -> int:
         return sum(self.fixed_dims) + sum(self.varying_dims)
 
 
@@ -121,22 +123,25 @@ class MinCodim:
 
 def _check_two_paths(closed: int, raw: int, label: str) -> int:
     if closed != raw:
-        raise AssertionError(f"codimension paths disagree for {label}: closed {closed}, raw {raw}")
+        raise Disagreement(f"codimension paths disagree for {label}", closed=closed, raw=raw)
     return closed
 
 
 def strata_of_product(varying_dims: Sequence[int]) -> tuple[Stratum, ...]:
-    """Strata of the repeated-factor locus in a product of Siegel spaces.
+    """Strata of the repeated-factor locus in a product of Siegel spaces."""
+    return strata_of_shape(DecompositionShape((), varying_dims))
+
+
+def strata_of_shape(shape: DecompositionShape) -> tuple[Stratum, ...]:
+    """Strata for a varying product with a fixed product in front.
 
     Factors are indexed 1..s in ascending dimension order.  Codimensions
     are computed both by the closed forms above and by alternating sums of
-    Siegel dimensions; the two paths must agree exactly.
+    Siegel dimensions; the two paths must agree exactly.  The fixed factors
+    contribute the absorption strata ``c(i, j)``; pairs with g_c > g_v are
+    empty and omitted.
     """
-    dims = tuple(sorted(varying_dims))
-    if not dims:
-        raise VaryingDimTooSmall("at least one factor is required")
-    if any(d < 2 for d in dims):
-        raise VaryingDimTooSmall(f"factor dimensions must be >= 2, got {dims}")
+    dims = shape.varying_dims
     ambient = sum(siegel_dim(d) for d in dims)
     out: list[Stratum] = []
     for i, gi in enumerate(dims, start=1):
@@ -155,6 +160,13 @@ def strata_of_product(varying_dims: Sequence[int]) -> tuple[Stratum, ...]:
             raw = siegel_dim(gi) - siegel_dim(gi - 2 * d) - siegel_dim(d)
             codim = _check_two_paths(closed, raw, f"b_diag({i},{d})")
             out.append(Stratum("b_diag", (i, d), ambient, ambient - codim))
+        for j, gc in enumerate(shape.fixed_dims, start=1):
+            if gc > gi:
+                continue
+            closed = half_exact(gc * (2 * gi + 1 - gc))
+            raw = siegel_dim(gi) - siegel_dim(gi - gc)
+            codim = _check_two_paths(closed, raw, f"c({i},{j})")
+            out.append(Stratum("c", (i, j), ambient, ambient - codim))
     out.sort(key=Stratum.sort_key)
     return tuple(out)
 
@@ -167,38 +179,10 @@ def mdec_codim_product(varying_dims: Sequence[int]) -> MinCodim:
     """Minimal codimension of the repeated-factor locus in a pure product.
 
     The enumerated minimum provably equals 2*g1 - 2 for the smallest factor
-    dimension g1; the identity is still recomputed on every call.
+    dimension g1; the identity is still recomputed on every call, and a
+    mismatch is reported as ``agrees=False``.
     """
-    strata = strata_of_product(varying_dims)
-    witness = _min_stratum(strata)
-    closed = 2 * min(varying_dims) - 2
-    if witness.codim != closed:
-        raise AssertionError(
-            f"product minimum {witness.codim} differs from closed form {closed} "
-            f"for dims {tuple(sorted(varying_dims))}"
-        )
-    return MinCodim(witness.codim, witness, closed, agrees=True)
-
-
-def strata_of_shape(shape: DecompositionShape) -> tuple[Stratum, ...]:
-    """Strata for a varying product with a fixed product in front.
-
-    The fixed factors contribute the absorption strata ``c(i, j)``; pairs
-    with g_c > g_v are empty and omitted.
-    """
-    base = strata_of_product(shape.varying_dims)
-    ambient = sum(siegel_dim(d) for d in shape.varying_dims)
-    out = list(base)
-    for i, gv in enumerate(shape.varying_dims, start=1):
-        for j, gc in enumerate(shape.fixed_dims, start=1):
-            if gc > gv:
-                continue
-            closed = half_exact(gc * (2 * gv + 1 - gc))
-            raw = siegel_dim(gv) - siegel_dim(gv - gc)
-            codim = _check_two_paths(closed, raw, f"c({i},{j})")
-            out.append(Stratum("c", (i, j), ambient, ambient - codim))
-    out.sort(key=Stratum.sort_key)
-    return tuple(out)
+    return mdec_codim_fixedpart(DecompositionShape((), varying_dims))
 
 
 def fixedpart_closed_form(shape: DecompositionShape) -> int | None:
@@ -233,9 +217,7 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
     witness = _min_stratum(strata)
     gv1 = shape.varying_dims[0]
     if witness.codim < gv1:
-        raise AssertionError(
-            f"fixed-part minimum {witness.codim} fell below the bound {gv1} for {shape}"
-        )
+        raise Disagreement(f"fixed-part minimum below its bound for {shape}", minimum=witness.codim, bound=gv1)
     closed = fixedpart_closed_form(shape)
     notes: list[str] = []
     if closed is None:
@@ -280,7 +262,7 @@ def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
             raw = unitary_dim(k // 2, l // 2) + unitary_dim(p - k, q - l)
             closed = ambient - p * l - k * q + quarter_exact(5 * k * l)
             if closed != raw:
-                raise AssertionError(f"cm stratum paths disagree at ({k},{l}): {closed} vs {raw}")
+                raise Disagreement(f"cm stratum paths disagree at ({k},{l})", closed=closed, raw=raw)
             out.append(Stratum("unitary_cm", (k, l), ambient, raw))
     for k in range(1, min(p, q) + 1):
         raw = siegel_dim(k) + unitary_dim(p - k, q - k)

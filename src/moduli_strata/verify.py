@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .errors import GroundTooSmall
 from .hecke_groups import (
     gamma_dim,
     gamma_gamma_codim,
@@ -314,6 +315,10 @@ class CheckSpec:
     description: str
 
 
+#: Every suite's box is empty below this --g-max (no dimension or ground
+#: size 2 is left to check) and non-empty from it on.
+MIN_G_MAX = 2
+
 CHECKS: dict[str, CheckSpec] = {
     "L3.1": CheckSpec(run_product_min, 6, "product minimum = 2*g1 - 2"),
     "L3.2": CheckSpec(run_fixedpart_min, 6, "fixed-part minimum matches its closed form"),
@@ -326,9 +331,17 @@ CHECKS: dict[str, CheckSpec] = {
 
 
 def run_check(check_id: str, g_max: int | None = None) -> VerificationRun:
-    """Run one named suite; unknown ids raise KeyError."""
+    """Run one named suite; unknown ids raise KeyError.
+
+    A box that holds no case raises GroundTooSmall: a run that checks
+    nothing must not report that everything agrees.
+    """
     spec = CHECKS[check_id]
     start = time.perf_counter()
     run = spec.runner(g_max if g_max is not None else spec.default_g_max)
     run.elapsed_ms = int((time.perf_counter() - start) * 1000)
+    if not run.cases:
+        raise GroundTooSmall(
+            f"verify {check_id} checks no case at --g-max {g_max}; the smallest box is --g-max {MIN_G_MAX}"
+        )
     return run

@@ -9,7 +9,7 @@ repeated-factor codimension.  The stratum enumeration refutes that value at
 k-folds (unitary_noncm with k = p = q) has codimension k(k-1)/2, which is
 1 and 3 there.  Those two tests are therefore strict expected failures,
 and companion tests pin the enumeration's actual values so the behavior
-stays locked.  See notes/decisions.md at the repository top level.
+stays locked.  See "Two expected failures" in README.md.
 """
 
 import itertools

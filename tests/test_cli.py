@@ -1,11 +1,19 @@
 """Command-line behavior: determinism, schema, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moduli_strata import verify
+from moduli_strata import planner, strata, verify
 from moduli_strata.cli import run
+from moduli_strata.errors import GroundTooSmall
+from moduli_strata.moduli import BoundaryCodim
 
 GOLDEN = [
     (["plan", "--fixed", "1", "--varying", "3", "--json"], 0),
@@ -22,6 +30,23 @@ GOLDEN = [
     (["no-such-command"], 1),
 ]
 
+#: sha256 of the exact stdout of each GOLDEN call, recorded from the
+#: release before the spec types were merged; refactors must keep them.
+GOLDEN_STDOUT_SHA256 = {
+    "plan --fixed 1 --varying 3 --json": "9a60581ecd58217216636e9392a50a5db54e59445f0115a2971cc00379d89507",
+    "plan --varying 2,2 --json": "ec21e2f498fca5b93c44390be4e941102bebe34092ac206bc99ed215b368fc65",
+    "plan --unitary 2,3 --elliptic 1 --json": "776f4aee28ce033bffd3ca732a48a2f0f71e800ebaef3c76db9e866e5676f60e",
+    "plan --varying 1,3": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "plan --unitary 1,2 --elliptic 1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "strata --varying 2,3 --json": "7b7b456f38e5b1c6d4cd4c06072ca87c41da72499a716f3fce7928d1e112cefe",
+    "strata --unitary 3,1 --json": "2243174d7928d5c96abafecd21f13e93de24166058546d80204aaeab138c7d3b",
+    "gamma --g 4 --json": "df437adf07d9cc0eaca25c988d4b148b5911ce386b5546a93f061381f5385ba2",
+    "verify L5.5 --g-max 5 --json": "de75f506573eb02c9005d7241db0e87b5f90b55de8e6e7abe36a7dd56d70ab55",
+    "verify L3.3 --g-max 4 --json": "743c82c34692d0ac3de7f0eb91e0f6137a267e3584fd2b198c42fa2c375eed67",
+    "kodaira --genus 5 --require-feasible --json": "a63087533a4761af801b0d1948c16032dde18bb3903367fcf97be982da25d784",
+    "no-such-command": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
 
 def invoke(capsys, argv):
     code = run(argv)
@@ -34,6 +59,12 @@ class TestExitCodes:
     def test_golden_set(self, capsys, argv, expected):
         code, _, _ = invoke(capsys, argv)
         assert code == expected
+
+    @pytest.mark.parametrize("argv,expected", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_golden_bytes(self, capsys, argv, expected):
+        code, out, _ = invoke(capsys, argv)
+        assert code == expected
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[" ".join(argv)]
 
     def test_require_feasible_passes_when_feasible(self, capsys):
         code, _, _ = invoke(capsys, ["kodaira", "--genus", "4", "--require-feasible"])
@@ -54,6 +85,40 @@ class TestExitCodes:
         code, out, err = invoke(capsys, ["verify", "C5.6", "--g-max", "5", "--json"])
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["result"]["summary"]["disagreements"] == 1
+
+    def test_two_path_disagreement_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(strata, "siegel_dim", lambda g: g * (g + 1) // 2 + 1)
+        code, out, err = invoke(capsys, ["strata", "--varying", "2,3", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
+        assert "closed 4, raw 3" in err
+
+    def test_budget_disagreement_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(planner, "boundary_codim", lambda space: BoundaryCodim(1, exact=True))
+        code, out, err = invoke(capsys, ["plan", "--varying", "3", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "d_max 0, min_varying_minus_one 2" in err
+
+    def test_product_minimum_mismatch_is_reported(self, capsys, monkeypatch):
+        closed = strata.fixedpart_closed_form
+        monkeypatch.setattr(strata, "fixedpart_closed_form", lambda shape: closed(shape) + 1)
+        result = strata.mdec_codim_product((3, 3))
+        assert (result.codim, result.closed_form, result.agrees) == (4, 5, False)
+        code, out, _ = invoke(capsys, ["strata", "--varying", "3,3", "--json"])
+        assert code == 2 and json.loads(out)["result"]["agrees"] is False
+
+    def test_product_minimum_disagreement_is_recorded(self, capsys, monkeypatch):
+        computed = verify.mdec_codim_product
+
+        def off_by_one(dims):
+            r = computed(dims)
+            return strata.MinCodim(r.codim + (tuple(dims) == (3, 3)), r.witness, r.closed_form, r.agrees)
+
+        monkeypatch.setattr(verify, "mdec_codim_product", off_by_one)
+        code, out, err = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--json"])
+        assert code == 2 and "Traceback" not in err
+        bad = [c for c in json.loads(out)["result"]["cases"] if not c["agree"]]
+        assert [(c["input"]["varying_dims"], c["expected"], c["computed"]) for c in bad] == [([3, 3], 4, 5)]
 
     def test_verify_disagreement_path(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "L3.3", "--json"])
@@ -169,6 +234,45 @@ class TestOutputTargets:
         code, out, err = invoke(capsys, ["plan"])
         assert code == 1 and out == "" and "error" in err
 
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["realize", "--varying", "0", "--g", "3"], "rank must be >= 1"),
+            (["realize", "--unitary", "0,3", "--g", "5"], "parameters must be >= 1"),
+            (["plan", "--unitary", "2,3", "--fixed", "1"], "--fixed applies only with --varying"),
+            (["strata", "--unitary", "2,2", "--fixed", "1"], "--fixed applies only with --varying"),
+            (["plan", "--varying", "2", "--unitary", "2,2"], "not allowed with"),
+            (["realize", "--g", "5"], "one of the arguments --varying --unitary is required"),
+            (["plan", "--varying", "3", "--witness-all"], "unrecognized arguments: --witness-all"),
+            (["verify", "L3.1", "--witness-all"], "unrecognized arguments: --witness-all"),
+            (["kodaira", "--genus", "4", "--witness-all"], "unrecognized arguments: --witness-all"),
+            (["realize", "--varying", "2", "--g", "3", "--witness-all"], "unrecognized arguments: --witness-all"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_rejected_inputs_are_usage_errors(self, capsys, argv, needle):
+        code, out, err = invoke(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("moduli-strata: error: ") and needle in err
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = invoke(capsys, ["plan", "--varying", "3", "--out", str(target)])
+        assert code == 1 and out == "" and not target.exists()
+        assert err.startswith(f"moduli-strata: error: cannot write {target}")
+
+    @pytest.mark.parametrize("lemma,g_max", [("L5.5", 1), ("L3.1", -3), ("C5.6", 1), ("C5.3-increment", 0)])
+    def test_empty_verify_box_is_usage_error(self, capsys, lemma, g_max):
+        code, out, err = invoke(capsys, ["verify", lemma, "--g-max", str(g_max)])
+        assert code == 1 and out == ""
+        assert f"checks no case at --g-max {g_max}; the smallest box is --g-max 2" in err
+
+    @pytest.mark.parametrize("lemma", sorted(verify.CHECKS))
+    def test_min_g_max_is_every_suites_smallest_box(self, lemma):
+        with pytest.raises(GroundTooSmall):
+            verify.run_check(lemma, verify.MIN_G_MAX - 1)
+        assert verify.run_check(lemma, verify.MIN_G_MAX).cases
+
     def test_elliptic_needs_unitary(self, capsys):
         code, out, err = invoke(capsys, ["plan", "--varying", "3", "--elliptic", "-2"])
         assert code == 1 and out == ""
@@ -181,3 +285,51 @@ class TestTranslateMargin:
         code, out, _ = invoke(capsys, ["plan", "--fixed", "1,2,3,4", "--varying", "5,6,7", "--json"])
         assert code == 0
         assert json.loads(out)["result"]["hecke_margin"] == 84
+
+
+_DIMS = st.lists(st.integers(0, 5), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+_SMALL = st.integers(-1, 6).map(str)
+_VALUES = {
+    "--fixed": _DIMS, "--varying": _DIMS, "--unitary": _DIMS, "--elliptic": _SMALL, "--g": _SMALL,
+    "--genus": _SMALL, "--g-max": st.integers(-2, 4).map(str),
+    "--out": st.sampled_from([os.devnull, "/nonexistent-dir/report"]),
+    "--json": None, "--timing": None, "--witness-all": None, "--require-feasible": None,
+}
+_FLAVOR = ["--varying", "--unitary"]
+#: (flags every call gets, one of which flags, optional flags) per subcommand;
+#: verify always gets a small box because the default boxes take seconds
+_GRAMMAR = {
+    "plan": ([], _FLAVOR, ["--fixed", "--elliptic", "--require-feasible"]),
+    "strata": ([], _FLAVOR, ["--fixed", "--witness-all"]),
+    "gamma": (["--g"], [], ["--witness-all"]),
+    "verify": (["--g-max"], [], []),
+    "kodaira": (["--genus"], [], ["--require-feasible"]),
+    "realize": (["--g"], _FLAVOR, []),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed call, now and then with one more flag of any subcommand."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, one_of, optional = _GRAMMAR[command]
+    argv = [command] + ([draw(st.sampled_from(sorted(verify.CHECKS)))] if command == "verify" else [])
+    flags = required + ([draw(st.sampled_from(one_of))] if one_of else [])
+    flags += draw(st.lists(st.sampled_from(optional + ["--json", "--timing", "--out"]), unique=True))
+    flags += draw(st.lists(st.sampled_from(sorted(set(_VALUES) - {"--g-max"})), max_size=1))
+    for flag in flags:
+        argv.append(flag)
+        if _VALUES[flag] is not None:
+            argv.append(draw(_VALUES[flag]))
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argvs())
+    def test_exit_code_and_no_traceback(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

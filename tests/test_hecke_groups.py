@@ -10,7 +10,6 @@ from moduli_strata.hecke_groups import (
     gamma_gamma_codim,
     gamma_gamma_codim_by_pairs,
     gamma_gamma_codim_by_search,
-    gamma_subgroup,
     max_product_dim,
     max_product_dim_by_pairs,
     product_dim,
@@ -18,6 +17,7 @@ from moduli_strata.hecke_groups import (
     sp_total_dim,
     two_block_witness_value,
 )
+from moduli_strata.moduli import GroupExpr, SpAtom
 from moduli_strata.partitions import (
     SetPartition,
     enumerate_proper_partitions,
@@ -46,9 +46,10 @@ class TestGammaDim:
         assert gamma_dim(blocks([1, 2, 3])) == 21
 
     def test_subgroup_structure(self):
-        gs = gamma_subgroup(blocks([1, 2], [3], [4]))
-        assert gs.group.label == "Sp(2) x Sp(2) x Sp(4)"
-        assert gs.dim == 3 + 3 + 10 == gamma_dim(gs.partition)
+        part = blocks([1, 2], [3], [4])
+        group = GroupExpr.of(SpAtom(l) for l in part.block_sizes)
+        assert group.label == "Sp(2) x Sp(2) x Sp(4)"
+        assert group.dim == 3 + 3 + 10 == gamma_dim(part)
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_insertion_increment(self, g):
@@ -132,12 +133,13 @@ class TestMaxProductDim:
     def test_completion_route_matches_exhaustive(self):
         # the scaling route used beyond the exhaustive limit agrees with
         # full matrix-type enumeration wherever both run
-        from moduli_strata.hecke_groups import _best_against, _weight
+        from moduli_strata.hecke_groups import _best_against
+        from moduli_strata.moduli import sp_dim
         from moduli_strata.partitions import integer_partitions
 
         for g in range(2, 9):
             dp = max(
-                sum(_weight(l) for l in sizes) + _best_against(sizes)
+                sum(sp_dim(l) for l in sizes) + _best_against(sizes)
                 for sizes in integer_partitions(g)
                 if len(sizes) >= 2
             )

@@ -2,41 +2,39 @@
 
 import pytest
 
-from moduli_strata.errors import GroundTooSmall, NoCompactificationRule
+from moduli_strata.errors import GroundTooSmall, RankTooSmall, UnitaryBoundViolated
 from moduli_strata.moduli import (
-    CurveModuli,
     GroupExpr,
     Siegel,
     SpAtom,
     SUFormAtom,
     UnitarySpace,
     boundary_codim,
-    dim_space,
-    group_dim,
     half_exact,
-    sp_product,
-    su_form,
+    siegel_dim,
     torelli_codim,
+    unitary_dim,
 )
 
 
 class TestDimensions:
     def test_siegel(self):
-        assert dim_space(Siegel(4)) == 10
-        assert dim_space(Siegel(0)) == 0
-        assert dim_space(Siegel(1)) == 1
+        assert siegel_dim(4) == 10
+        assert siegel_dim(0) == 0
+        assert siegel_dim(1) == 1
 
     def test_unitary(self):
-        assert dim_space(UnitarySpace(2, 3)) == 6
-        assert dim_space(UnitarySpace(0, 5)) == 0
+        assert unitary_dim(2, 3) == 6
+        assert unitary_dim(0, 5) == 0
 
     def test_curves(self):
-        assert dim_space(CurveModuli(2)) == 3
-        assert dim_space(CurveModuli(4)) == 9
+        # dim M_g = 3g - 3 is the Jacobian locus inside A_g: g(g+1)/2 - torelli
+        assert siegel_dim(2) - torelli_codim(2) == 3
+        assert siegel_dim(4) - torelli_codim(4) == 9
 
     @pytest.mark.parametrize("g", range(0, 12))
     def test_siegel_increment(self, g):
-        assert dim_space(Siegel(g + 1)) - dim_space(Siegel(g)) == g + 1
+        assert siegel_dim(g + 1) - siegel_dim(g) == g + 1
 
 
 class TestBoundary:
@@ -49,10 +47,6 @@ class TestBoundary:
         b = boundary_codim(UnitarySpace(2, 2))
         assert (b.codim, b.exact) == (3, False)
 
-    def test_curves_have_no_rule(self):
-        with pytest.raises(NoCompactificationRule):
-            boundary_codim(CurveModuli(3))
-
     def test_degenerate_rejected(self):
         with pytest.raises(GroundTooSmall):
             boundary_codim(Siegel(0))
@@ -61,11 +55,11 @@ class TestBoundary:
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_siegel_boundary_is_dimension_drop(self, g):
-        assert boundary_codim(Siegel(g)).codim == dim_space(Siegel(g)) - dim_space(Siegel(g - 1))
+        assert boundary_codim(Siegel(g)).codim == siegel_dim(g) - siegel_dim(g - 1)
 
     @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 7) for q in range(1, 7)])
     def test_unitary_boundary_is_dimension_drop(self, p, q):
-        drop = dim_space(UnitarySpace(p, q)) - dim_space(UnitarySpace(p - 1, q - 1))
+        drop = unitary_dim(p, q) - unitary_dim(p - 1, q - 1)
         assert boundary_codim(UnitarySpace(p, q)).codim == drop
 
 
@@ -87,14 +81,20 @@ class TestGroupExpr:
         assert SUFormAtom(2, 2).dim == 15
 
     def test_product_dim(self):
-        expr = sp_product([2, 3])
-        assert group_dim(expr) == 31
+        expr = GroupExpr.of([SpAtom(2), SpAtom(3)])
+        assert expr.dim == 31
         assert expr.label == "Sp(4) x Sp(6)"
-        assert group_dim(su_form(2, 2)) == 15
+        assert GroupExpr.of([SUFormAtom(2, 2)]).dim == 15
 
     def test_canonical_order(self):
         assert GroupExpr.of([SpAtom(3), SpAtom(2)]) == GroupExpr.of([SpAtom(2), SpAtom(3)])
-        assert sp_product([3, 2]).label == "Sp(4) x Sp(6)"
+        assert GroupExpr.of([SpAtom(3), SpAtom(2)]).label == "Sp(4) x Sp(6)"
+
+    def test_atoms_reject_small_parameters(self):
+        with pytest.raises(RankTooSmall):
+            SpAtom(0)
+        with pytest.raises(UnitaryBoundViolated):
+            SUFormAtom(0, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

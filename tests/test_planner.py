@@ -7,7 +7,6 @@ import pytest
 from moduli_strata.errors import (
     GenusTooSmall,
     RankTooSmall,
-    RuleNotProven,
     SpecInvalid,
     TargetTooLarge,
     UnitaryBoundViolated,
@@ -15,31 +14,33 @@ from moduli_strata.errors import (
 )
 from moduli_strata.moduli import GroupExpr, SpAtom, SUFormAtom
 from moduli_strata.planner import (
-    EndAlgebra,
-    EndFactor,
-    FieldKind,
     SymplecticFamily,
     UnitaryFamily,
     derived_mt,
     kodaira_budget,
-    ns_rank,
     plan_family,
-    polarized_isogeny_closed,
     realize_group,
-    validate_spec,
 )
 
 
 class TestValidate:
     def test_valid(self):
-        assert validate_spec(SymplecticFamily((1,), (2,))) == []
-        assert validate_spec(UnitaryFamily(2, 2, 3)) == []
+        assert SymplecticFamily((2, 1), (2,)).fixed_dims == (1, 2)
+        assert UnitaryFamily(2, 2, 3).total_g == 7
 
     def test_violations(self):
-        assert validate_spec(SymplecticFamily((), (1, 3))) == ["varying dim 1 < 2"]
-        assert validate_spec(UnitaryFamily(1, 1, 2)) == ["p+q=3 < 4"]
-        assert "level 2 < 3" in validate_spec(SymplecticFamily((), (2,), level=2))
-        assert validate_spec(SymplecticFamily((), ()))  # empty varying part
+        with pytest.raises(SpecInvalid, match=r"varying dimensions must be >= 2, got \(1, 3\)"):
+            SymplecticFamily((), (1, 3))
+        with pytest.raises(SpecInvalid, match=r"p\+q=3 < 4"):
+            UnitaryFamily(1, 1, 2)
+        with pytest.raises(SpecInvalid, match="unitary parameters"):
+            UnitaryFamily(1, 0, 4)
+        with pytest.raises(SpecInvalid, match="elliptic factor count -1"):
+            UnitaryFamily(-1, 2, 3)
+        with pytest.raises(SpecInvalid, match="fixed dimensions"):
+            SymplecticFamily((0,), (2,))
+        with pytest.raises(SpecInvalid):  # empty varying part
+            SymplecticFamily((), ())
 
     def test_plan_rejects_invalid(self):
         with pytest.raises(SpecInvalid):
@@ -199,39 +200,3 @@ class TestKodaira:
         with pytest.raises(GenusTooSmall):
             kodaira_budget(2)
 
-
-Q = EndFactor(FieldKind.RATIONAL)
-IM = EndFactor(FieldKind.IMAGINARY_QUADRATIC, "L")
-RE = EndFactor(FieldKind.REAL_QUADRATIC, "F")
-
-
-class TestEndAlgebra:
-    def test_polarized_isogeny_closed(self):
-        assert polarized_isogeny_closed(EndAlgebra((Q, Q, Q)))
-        assert polarized_isogeny_closed(EndAlgebra((Q, IM)))
-        assert not polarized_isogeny_closed(EndAlgebra((RE,)))
-        assert not polarized_isogeny_closed(
-            EndAlgebra((EndFactor(FieldKind.IMAGINARY_QUADRATIC, "L", 2),))
-        )
-
-    def test_monotone_under_new_factors(self):
-        for factors in itertools.product([Q, IM, RE], repeat=2):
-            base = EndAlgebra(tuple(factors))
-            for extra in (Q, IM, RE):
-                grown = EndAlgebra(tuple(factors) + (extra,))
-                if polarized_isogeny_closed(grown):
-                    assert polarized_isogeny_closed(base)
-
-    def test_ns_rank(self):
-        assert ns_rank(EndAlgebra((Q, Q, Q))) == 3
-        assert ns_rank(EndAlgebra((IM,))) == 1
-        with pytest.raises(RuleNotProven):
-            ns_rank(EndAlgebra((RE,)))
-
-    def test_factor_validation(self):
-        with pytest.raises(ValueError):
-            EndFactor(FieldKind.IMAGINARY_QUADRATIC, "")
-        with pytest.raises(ValueError):
-            EndFactor(FieldKind.RATIONAL, multiplicity=0)
-        with pytest.raises(ValueError):
-            EndAlgebra(())
