@@ -32,8 +32,6 @@ from .strata import (
     DecompositionShape,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
-    strata_of_shape,
-    strata_of_unitary,
 )
 from .verify import CHECKS, run_check
 
@@ -215,15 +213,14 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     _fixed_needs_varying(args)
     if args.unitary is not None:
         p, q = args.unitary
-        strata = strata_of_unitary(p, q)
         minimum = mdec_codim_unitary(p, q)
         inputs = {"flavor": "unitary", "p": p, "q": q}
     else:
         shape = DecompositionShape(args.fixed, args.varying)
-        strata = strata_of_shape(shape)
         minimum = mdec_codim_fixedpart(shape)
         # --fixed is echoed in the order given
         inputs = {"flavor": "symplectic", "fixed_dims": list(args.fixed), "varying_dims": list(shape.varying_dims)}
+    strata = minimum.strata
     result = {
         "ambient_dim": strata[0].ambient_dim if strata else 0,
         "count": len(strata),

@@ -14,7 +14,9 @@ entries contribute with the l(2l+1) weight.
 Two maximizers over all proper pairs are provided: exhaustive enumeration
 of canonical intersection-matrix types (complete for ground sizes up to 8)
 and a memoized best-completion search over column structures that scales
-further; they agree wherever both run.
+further; they agree wherever both run.  The direct pair sweep checks them
+on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per block-size
+class, since relabelling both partitions leaves the product unchanged.
 
 The translate codimension has the closed form 4(g - largest block); the
 completion search serves only ``max_product_dim`` for g > 8 and C5.6.
@@ -23,6 +25,7 @@ completion search serves only ``max_product_dim`` for g > 8 and C5.6.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -103,30 +106,26 @@ def max_product_dim(g: int, collect_all: bool = False) -> MaxProductDim:
 
 
 def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[SetPartition, SetPartition]]:
-    """Independent maximizer: direct sweep over all proper partition pairs.
+    """Independent maximizer: direct sweep over proper partition pairs.
 
-    Quadratic in Bell(g); intended as the cross-check for small g.
+    ``product_dim`` is unchanged when both partitions are relabelled by
+    the same permutation, so lam runs over one partition per block-size
+    class (consecutive blocks) against every proper mu: (p(g) - 1)(Bell(g) - 1)
+    pairs stand for all (Bell(g) - 1)^2.
     """
     if g < 2:
         raise GroundTooSmall(f"need g >= 2, got {g}")
-    parts = enumerate_proper_partitions(g)
-    data = [(p.block_ids(), p.block_sizes) for p in parts]
-    best = -1
-    best_pair = (0, 0)
-    for a in range(len(parts)):
-        ids_a, sizes_a = data[a]
-        base_a = sum(sp_dim(l) for l in sizes_a)
-        for b in range(a, len(parts)):
-            ids_b, sizes_b = data[b]
-            cells: dict[tuple[int, int], int] = {}
-            for x in range(g):
-                key = (ids_a[x], ids_b[x])
-                cells[key] = cells.get(key, 0) + 1
-            value = base_a + sum(sp_dim(l) for l in sizes_b)
-            value -= sum(sp_dim(c) for c in cells.values())
+    lams = [_consecutive_blocks(sizes) for sizes in integer_partitions(g) if len(sizes) > 1]
+    mus = [(mu, mu.block_ids(), gamma_dim(mu)) for mu in enumerate_proper_partitions(g)]
+    best, best_pair = -1, (lams[0], mus[0][0])
+    for lam in lams:
+        ids_a, dim_a = lam.block_ids(), gamma_dim(lam)
+        for mu, ids_b, dim_b in mus:
+            cells = Counter(zip(ids_a, ids_b))
+            value = dim_a + dim_b - sum(sp_dim(c) for c in cells.values())
             if value > best:
-                best, best_pair = value, (a, b)
-    return best, (parts[best_pair[0]], parts[best_pair[1]])
+                best, best_pair = value, (lam, mu)
+    return best, best_pair
 
 
 def two_block_witness_value(g: int) -> int:
@@ -254,6 +253,12 @@ def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
+def _consecutive_blocks(sizes: Sequence[int]) -> SetPartition:
+    """The partition of {1, ..., g} into consecutive runs of the given sizes."""
+    ends = itertools.accumulate(sizes)
+    return SetPartition.from_blocks(range(end - l + 1, end + 1) for l, end in zip(sizes, ends))
+
+
 def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
     """Codimension of the union of translates of a proper lam subgroup.
 
@@ -279,8 +284,6 @@ def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
 
 def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:
     """Brute-force cross-check of ``gamma_gamma_codim`` over all proper mu."""
-    sizes = _proper_sizes(block_sizes)
-    ends = itertools.accumulate(sizes)
-    lam = SetPartition.from_blocks(range(end - l + 1, end + 1) for l, end in zip(sizes, ends))
+    lam = _consecutive_blocks(_proper_sizes(block_sizes))
     mus = enumerate_proper_partitions(lam.ground_size)
     return sp_total_dim(lam.ground_size) - max(product_dim(mu, lam) for mu in mus)

@@ -285,50 +285,50 @@ def integer_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[in
             yield (first,) + rest
 
 
-def _bounded_rows(total: int, budgets: Sequence[int], bound: Sequence[int] | None) -> Iterator[tuple[int, ...]]:
-    """Compositions of `total` with entry j <= budgets[j], lex <= `bound`."""
-    n = len(budgets)
-
-    def rec(j: int, remaining: int, tight: bool, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if j == n:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        if remaining > sum(budgets[j:]):
-            return
-        hi = min(remaining, budgets[j])
-        if tight and bound is not None:
-            hi = min(hi, bound[j])
-        for v in range(hi, -1, -1):
-            still_tight = tight and bound is not None and v == bound[j]
-            acc.append(v)
-            yield from rec(j + 1, remaining - v, still_tight, acc)
-            acc.pop()
-
-    yield from rec(0, total, bound is not None, [])
+@lru_cache(maxsize=None)
+def _compositions(total: int, budgets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Compositions of `total` with entry j <= budgets[j]."""
+    if not budgets:
+        return ((),) if total == 0 else ()
+    return tuple(
+        (v,) + rest
+        for v in range(min(total, budgets[0]) + 1)
+        for rest in _compositions(total - v, budgets[1:])
+    )
 
 
 def _tables(row_sums: Sequence[int], col_sums: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Non-negative matrices with the given margins.
+    """Non-negative matrices with the given margins, pruned doubly-lexically.
 
-    Rows inside a run of equal row sums are forced non-increasing, which
-    kills most permutation duplicates before canonicalization.
+    Rows inside a run of equal row sums are forced lex non-decreasing top
+    to bottom, and columns inside a run of equal column sums lex
+    non-decreasing left to right (Lubiw 1987).  The pruning is complete:
+    swapping two such rows or columns keeps the margins sorted and would
+    lower a representative that broke either constraint, so the lex-minimal
+    ``canonical_entries`` representative of every table satisfies both and
+    is itself generated.
     """
-    t = len(col_sums)
 
-    def rec(i: int, budgets: list[int], rows: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rec(
+        i: int, budgets: tuple[int, ...], tied: tuple[int, ...], rows: list[tuple[int, ...]]
+    ) -> Iterator[tuple[tuple[int, ...], ...]]:
         if i == len(row_sums):
-            if all(b == 0 for b in budgets):
+            if not any(budgets):
                 yield tuple(rows)
             return
-        bound = rows[-1] if rows and row_sums[i] == row_sums[i - 1] else None
-        for row in _bounded_rows(row_sums[i], budgets, bound):
+        floor = rows[-1] if rows and row_sums[i] == row_sums[i - 1] else ()
+        for row in _compositions(row_sums[i], budgets):
+            if row < floor or any(row[j] > row[j + 1] for j in tied):
+                continue
             rows.append(row)
-            new_budgets = [budgets[j] - row[j] for j in range(t)]
-            yield from rec(i + 1, new_budgets, rows)
+            rest = tuple(b - v for b, v in zip(budgets, row))
+            yield from rec(i + 1, rest, tuple(j for j in tied if row[j] == row[j + 1]), rows)
             rows.pop()
 
-    yield from rec(0, list(col_sums), [])
+    # tied: the j whose columns j, j + 1 have equal sums and equal entries
+    # so far; column j must stay lex <= column j + 1
+    tied = tuple(j for j in range(len(col_sums) - 1) if col_sums[j] == col_sums[j + 1])
+    yield from rec(0, tuple(col_sums), tied, [])
 
 
 def enumerate_matrix_types(g: int) -> list[IntersectionMatrix]:
@@ -337,7 +337,9 @@ def enumerate_matrix_types(g: int) -> list[IntersectionMatrix]:
     A type is a canonical class of matrices with total g, at least two rows
     and two columns and no zero row or column; each is realized by at least
     one pair of proper partitions, and every pair of proper partitions
-    realizes exactly one type.
+    realizes exactly one type.  The doubly-lexical ``_tables`` generates
+    every canonical representative, so building each type is a
+    ``canonical_entries`` cache hit.
     """
     if g < 2:
         raise GroundTooSmall(f"need g >= 2, got {g}")

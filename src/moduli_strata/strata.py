@@ -28,7 +28,7 @@ minima; a disagreement is reported, never silently overridden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import Disagreement, InvalidShape, VaryingDimTooSmall
@@ -103,6 +103,7 @@ class MinCodim:
 
     ``closed_form`` is the published formula's value where one applies;
     ``agrees`` records whether the enumerated minimum matches it.
+    ``strata`` holds the enumerated strata the minimum was taken over.
     """
 
     codim: int
@@ -110,6 +111,7 @@ class MinCodim:
     closed_form: int | None
     agrees: bool
     notes: tuple[str, ...] = ()
+    strata: tuple[Stratum, ...] = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -239,7 +241,7 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
             notes.append(
                 f"enumerated minimum {witness.codim} differs from closed form {closed}"
             )
-    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes))
+    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes), strata)
 
 
 def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
@@ -314,7 +316,7 @@ def mdec_codim_unitary(p: int, q: int) -> MinCodim:
                 f"largest unitary_cm stratum is {top.label} with k+l > 2 "
                 f"(dimension {top.stratum_dim}); the k+l = 2 strata are smaller"
             )
-    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes))
+    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes), strata)
 
 
 def mdec_codim_unitary_fixedpart(r: int, p: int, q: int) -> MinCodim:
@@ -327,4 +329,4 @@ def mdec_codim_unitary_fixedpart(r: int, p: int, q: int) -> MinCodim:
         raise InvalidShape(f"elliptic factor count must be >= 0, got {r}")
     base = mdec_codim_unitary(p, q)
     note = f"{r} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"
-    return MinCodim(base.codim, base.witness, base.closed_form, base.agrees, base.notes + (note,))
+    return replace(base, notes=base.notes + (note,))

@@ -59,7 +59,8 @@ def test_c01_max_product_dimension():
     )
     report(1, "max product dimension 2g^2+g-4, g=2..8", ok, f"{elapsed:.1f}s")
     assert values == MAX_PRODUCT_EXPECTED
-    assert not outcome.disagreements  # includes pair-sweep agreement for g <= 7
+    assert not outcome.disagreements  # includes pair-sweep agreement for g <= 8
+    assert all("pair sweep over" in c.note for c in outcome.cases)
     assert elapsed < 60.0
 
 

@@ -120,6 +120,20 @@ class TestExitCodes:
         bad = [c for c in json.loads(out)["result"]["cases"] if not c["agree"]]
         assert [(c["input"]["varying_dims"], c["expected"], c["computed"]) for c in bad] == [([3, 3], 4, 5)]
 
+    def test_fixedpart_below_bound_exits_2(self, capsys, monkeypatch):
+        enumerated = strata.strata_of_shape
+
+        def with_shallow_stratum(shape):
+            out = enumerated(shape)
+            ambient = out[0].ambient_dim
+            return (strata.Stratum("b_diag", (1, 1), ambient, ambient - 1),) + out
+
+        monkeypatch.setattr(strata, "strata_of_shape", with_shallow_stratum)
+        code, out, err = invoke(capsys, ["verify", "L3.2", "--g-max", "2", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: disagreement: fixed-part minimum below its bound")
+        assert "minimum 1, bound 2" in err
+
     def test_verify_disagreement_path(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "L3.3", "--json"])
         assert code == 2

@@ -122,9 +122,19 @@ class TestMaxProductDim:
         r = max_product_dim(3)
         assert r.witness == intersection_matrix(blocks([1, 2], [3]), blocks([1], [2, 3]))
 
-    @pytest.mark.parametrize("g", range(2, 7))
+    @pytest.mark.parametrize("g", range(2, 9))
     def test_matrix_route_equals_pair_route(self, g):
         assert max_product_dim(g).value == max_product_dim_by_pairs(g)[0]
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_reduced_pair_sweep_equals_all_pairs(self, g):
+        # one lam per block-size class must lose nothing against the full sweep
+        parts = enumerate_proper_partitions(g)
+        unreduced = max(product_dim(a, b) for a in parts for b in parts)
+        value, (lam, mu) = max_product_dim_by_pairs(g)
+        assert value == unreduced
+        assert lam.is_proper and mu.is_proper
+        assert product_dim(lam, mu) == value
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_two_block_family_attains_maximum(self, g):

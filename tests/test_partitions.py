@@ -15,6 +15,7 @@ from moduli_strata.partitions import (
     canonical_entries,
     enumerate_matrix_types,
     enumerate_proper_partitions,
+    integer_partitions,
     intersection_matrix,
     meet,
     partition_from_rgs,
@@ -235,6 +236,21 @@ class TestCanonicalForm:
         shuffled = tuple(tuple(entries[i][j] for j in cp) for i in rp)
         assert canonical_entries(shuffled) == canon
 
+    @given(st.data())
+    @settings(max_examples=150, derandomize=True)
+    def test_representative_is_doubly_lexical(self, data):
+        # the fact that makes the pruned generator in ``_tables`` complete
+        r = data.draw(st.integers(1, 4), label="rows")
+        c = data.draw(st.integers(1, 4), label="cols")
+        entries = tuple(tuple(data.draw(st.integers(0, 3)) for _ in range(c)) for _ in range(r))
+        canon = canonical_entries(entries)
+        rows = list(canon)
+        cols = list(zip(*canon))
+        for seq in (rows, cols):
+            for a, b in zip(seq, seq[1:]):
+                if sum(a) == sum(b):
+                    assert a <= b
+
 
 class TestMatrixTypes:
     def test_g2(self):
@@ -252,10 +268,22 @@ class TestMatrixTypes:
         assert types == image
 
     def test_matches_image_of_pairs_g7(self):
+        # The type of a pair is unchanged when both partitions are relabelled
+        # alike, so one first partition per block-size class reaches every
+        # type; the unreduced sweep above checks that invariance for g <= 6.
         types = set(enumerate_matrix_types(7))
+        firsts = [
+            SetPartition.from_blocks(range(end - l + 1, end + 1) for l, end in zip(sizes, itertools.accumulate(sizes)))
+            for sizes in integer_partitions(7)
+            if len(sizes) > 1
+        ]
         parts = enumerate_proper_partitions(7)
-        image = {intersection_matrix(a, b) for a in parts for b in parts}
+        image = {intersection_matrix(a, b) for a in firsts for b in parts}
         assert types == image
+
+    @pytest.mark.parametrize("g,count", [(2, 1), (3, 5), (4, 24), (5, 78), (6, 277), (7, 881), (8, 2974)])
+    def test_type_counts(self, g, count):
+        assert len(enumerate_matrix_types(g)) == count
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_every_type_is_realized(self, g):
