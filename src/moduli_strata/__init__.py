@@ -34,17 +34,15 @@ from .hecke_groups import (
     max_product_dim_by_pairs,
     product_dim,
     product_dim_from_matrix,
-    sp_total_dim,
 )
 from .moduli import (
     BoundaryCodim,
     GroupExpr,
-    Siegel,
     SpAtom,
     SUFormAtom,
-    UnitarySpace,
-    boundary_codim,
+    siegel_boundary_codim,
     torelli_codim,
+    unitary_boundary_codim,
 )
 from .partitions import (
     IntersectionMatrix,
@@ -75,7 +73,6 @@ from .strata import (
     mdec_codim_product,
     mdec_codim_unitary,
     mdec_codim_unitary_fixedpart,
-    strata_of_product,
     strata_of_shape,
     strata_of_unitary,
 )
@@ -91,15 +88,14 @@ __all__ = [
     "SetPartition", "IntersectionMatrix", "bell_number", "enumerate_proper_partitions",
     "enumerate_matrix_types", "intersection_matrix", "meet", "realize_matrix",
     # moduli
-    "Siegel", "UnitarySpace", "BoundaryCodim", "GroupExpr", "SpAtom", "SUFormAtom",
-    "boundary_codim", "torelli_codim",
+    "BoundaryCodim", "GroupExpr", "SpAtom", "SUFormAtom", "siegel_boundary_codim",
+    "unitary_boundary_codim", "torelli_codim",
     # strata
-    "Stratum", "DecompositionShape", "MinCodim", "strata_of_product",
-    "strata_of_shape", "strata_of_unitary", "mdec_codim_product",
-    "mdec_codim_fixedpart", "mdec_codim_unitary", "mdec_codim_unitary_fixedpart",
+    "Stratum", "DecompositionShape", "MinCodim", "strata_of_shape", "strata_of_unitary",
+    "mdec_codim_product", "mdec_codim_fixedpart", "mdec_codim_unitary", "mdec_codim_unitary_fixedpart",
     # hecke groups
     "MaxProductDim", "gamma_dim", "product_dim", "product_dim_from_matrix",
-    "max_product_dim", "max_product_dim_by_pairs", "gamma_gamma_codim", "sp_total_dim",
+    "max_product_dim", "max_product_dim_by_pairs", "gamma_gamma_codim",
     # planner
     "SymplecticFamily", "UnitaryFamily", "FamilySpec", "PlanReport", "KodairaReport",
     "plan_family", "derived_mt", "realize_group", "kodaira_budget",

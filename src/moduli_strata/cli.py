@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import __version__
 from .errors import DimensionCalculusError, Disagreement
-from .hecke_groups import gamma_gamma_codim, max_product_dim, sp_total_dim
+from .hecke_groups import gamma_gamma_codim, max_product_dim
 from .moduli import GroupExpr, SpAtom, SUFormAtom, sp_dim
 from .partitions import integer_partitions
 from .planner import (
@@ -42,6 +42,12 @@ EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_INFEASIBLE = 3
 
+#: Input limits (README, "Input limits"): each keeps the slowest accepted
+#: request within about 10 s and 128 MB.
+MAX_DIM = 200
+MAX_GAMMA_G = 20
+MAX_G_MAX = 9
+
 
 class UsageError(Exception):
     pass
@@ -61,7 +67,21 @@ def _dims(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected a comma-separated list of integers, got {text!r}") from exc
     if not values:
         raise UsageError(f"empty dimension list: {text!r}")
+    total = sum(v for v in values if v > 0)
+    if total > MAX_DIM:
+        raise argparse.ArgumentTypeError(f"dimensions add up to {total}, above the limit {MAX_DIM}")
     return values
+
+
+def _at_most(limit: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} is above the limit {limit}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _pq(text: str) -> tuple[int, int]:
@@ -91,7 +111,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("plan", help="dimension budget and monodromy for a family spec")
     p.add_argument("--fixed", type=_dims, default=(), help="fixed factor dimensions a,b,... (symplectic)")
     flavor(p, "varying factor dimensions a,b,...", "unitary parameters p,q")
-    p.add_argument("--elliptic", type=int, help="fixed elliptic factor count (unitary)")
+    p.add_argument("--elliptic", type=_at_most(MAX_DIM), help="fixed elliptic factor count (unitary)")
     p.add_argument("--require-feasible", action="store_true")
     common(p)
 
@@ -102,23 +122,23 @@ def build_parser() -> _Parser:
     witness_all(p)
 
     p = sub.add_parser("gamma", help="subgroup dimension calculus on a ground set")
-    p.add_argument("--g", type=int, required=True, help="ground set size")
+    p.add_argument("--g", type=_at_most(MAX_GAMMA_G), required=True, help="ground set size")
     common(p)
     witness_all(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("lemma_id", choices=sorted(CHECKS), help="suite to run")
-    p.add_argument("--g-max", type=int, default=None, help="override the parameter box")
+    p.add_argument("--g-max", type=_at_most(MAX_G_MAX), default=None, help="override the parameter box")
     common(p)
 
     p = sub.add_parser("kodaira", help="complete-curve-family budget at a fiber genus")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=_at_most(MAX_DIM), required=True)
     p.add_argument("--require-feasible", action="store_true")
     common(p)
 
     p = sub.add_parser("realize", help="family spec realizing a target monodromy group")
     flavor(p, "symplectic target ranks a,b,...", "unitary target parameters p,q")
-    p.add_argument("--g", type=int, required=True, help="total dimension g'")
+    p.add_argument("--g", type=_at_most(MAX_DIM), required=True, help="total dimension g'")
     common(p)
 
     return parser
@@ -255,10 +275,10 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         )
     result = {
         "ground_size": g,
-        "ambient_group_dim": sp_total_dim(g),
+        "ambient_group_dim": sp_dim(g),
         "max_product_dim": maximum.value,
-        "closed_form": sp_total_dim(g) - 4,
-        "agrees": maximum.value == sp_total_dim(g) - 4,
+        "closed_form": sp_dim(g) - 4,
+        "agrees": maximum.value == sp_dim(g) - 4,
         "witness": [list(r) for r in maximum.witness.entries],
         "partition_classes": classes,
     }

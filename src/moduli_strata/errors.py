@@ -45,7 +45,7 @@ class TargetTooLarge(DimensionCalculusError):
 
 class UnitaryBoundViolated(DimensionCalculusError):
     """An SU(p, q) atom has p or q below 1, or a realization request
-    violates 5 <= p+q+1 <= g'."""
+    violates g' >= p+q+1."""
 
 
 class UnrealizableTarget(DimensionCalculusError):

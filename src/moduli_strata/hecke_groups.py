@@ -42,11 +42,6 @@ from .partitions import (
 )
 
 
-def sp_total_dim(g: int) -> int:
-    """Dimension 2g^2 + g of the full rank-g symplectic group."""
-    return sp_dim(g)
-
-
 def gamma_dim(partition: SetPartition) -> int:
     """Dimension of the subgroup attached to a partition: sum of l(2l+1)."""
     return sum(sp_dim(l) for l in partition.block_sizes)
@@ -101,7 +96,7 @@ def max_product_dim(g: int, collect_all: bool = False) -> MaxProductDim:
         return MaxProductDim(g, best, winners[0], tuple(winners) if collect_all else ())
     sizes = min((s for s in integer_partitions(g) if len(s) > 1), key=gamma_gamma_codim_by_search)
     witness = _witness_matrix(sizes)
-    value = sp_total_dim(g) - gamma_gamma_codim_by_search(sizes)
+    value = sp_dim(g) - gamma_gamma_codim_by_search(sizes)
     return MaxProductDim(g, value, witness, (witness,) if collect_all else ())
 
 
@@ -279,11 +274,11 @@ def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
 def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
     """Cross-check of ``gamma_gamma_codim`` by the memoized completion search."""
     sizes = _proper_sizes(block_sizes)
-    return sp_total_dim(sum(sizes)) - sum(sp_dim(l) for l in sizes) - _best_against(sizes)
+    return sp_dim(sum(sizes)) - sum(sp_dim(l) for l in sizes) - _best_against(sizes)
 
 
 def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:
     """Brute-force cross-check of ``gamma_gamma_codim`` over all proper mu."""
     lam = _consecutive_blocks(_proper_sizes(block_sizes))
     mus = enumerate_proper_partitions(lam.ground_size)
-    return sp_total_dim(lam.ground_size) - max(product_dim(mu, lam) for mu in mus)
+    return sp_dim(lam.ground_size) - max(product_dim(mu, lam) for mu in mus)

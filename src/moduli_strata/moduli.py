@@ -2,10 +2,11 @@
 
 Everything here is integer arithmetic on two families of spaces:
 
-* ``Siegel(g)`` -- principally polarized abelian g-folds; dimension g(g+1)/2.
-* ``UnitarySpace(p, q)`` -- abelian (p+q)-folds with multiplication by an
-  imaginary quadratic field acting with eigenspace dimensions (p, q);
-  dimension p*q.
+* the Siegel space of principally polarized abelian g-folds: dimension
+  g(g+1)/2, boundary codimension exactly g;
+* the unitary space of abelian (p+q)-folds with multiplication by an
+  imaginary quadratic field acting with eigenspace dimensions (p, q):
+  dimension p*q, boundary codimension at least p+q-1.
 
 Group expressions are formal products of ``Sp(2k)`` and ``SU(p,q)``-form
 atoms with exact dimensions k(2k+1) and (p+q)^2 - 1.
@@ -36,36 +37,6 @@ def quarter_exact(n: int) -> int:
     return n // 4
 
 
-@dataclass(frozen=True)
-class Siegel:
-    """Moduli of principally polarized abelian g-folds (g = 0 is a point)."""
-
-    g: int
-
-    def __post_init__(self) -> None:
-        if self.g < 0:
-            raise ValueError(f"Siegel parameter must be >= 0, got {self.g}")
-
-
-@dataclass(frozen=True)
-class UnitarySpace:
-    """Moduli of abelian (p+q)-folds with imaginary quadratic multiplication.
-
-    Degenerate parameters (p = 0 or q = 0) are accepted as point spaces;
-    stratum arithmetic needs them as residual factors.
-    """
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"Unitary parameters must be >= 0, got ({self.p}, {self.q})")
-
-
-ModuliSpace = Union[Siegel, UnitarySpace]
-
-
 def siegel_dim(g: int) -> int:
     """Dimension g(g+1)/2 of the Siegel space of abelian g-folds."""
     if g < 0:
@@ -90,23 +61,20 @@ class BoundaryCodim:
     exact: bool
 
 
-def boundary_codim(space: ModuliSpace) -> BoundaryCodim:
-    """Boundary codimension of the minimal (projective) compactification.
+def siegel_boundary_codim(g: int) -> BoundaryCodim:
+    """Exactly g: the boundary of the minimal compactification of the
+    Siegel space is a chain of lower Siegel spaces."""
+    if g < 1:
+        raise GroundTooSmall("boundary codimension needs g >= 1")
+    return BoundaryCodim(g, exact=True)
 
-    Siegel(g): the boundary is a chain of lower Siegel spaces, so the
-    codimension is exactly g.  UnitarySpace(p, q): the boundary strata are
-    the spaces with parameters (p-r, q-r), giving the lower bound
-    pq - (p-1)(q-1) = p+q-1.
-    """
-    if isinstance(space, Siegel):
-        if space.g < 1:
-            raise GroundTooSmall("boundary codimension needs g >= 1")
-        return BoundaryCodim(space.g, exact=True)
-    if isinstance(space, UnitarySpace):
-        if space.p < 1 or space.q < 1:
-            raise GroundTooSmall("boundary codimension needs p, q >= 1")
-        return BoundaryCodim(space.p + space.q - 1, exact=False)
-    raise TypeError(f"not a moduli space: {space!r}")
+
+def unitary_boundary_codim(p: int, q: int) -> BoundaryCodim:
+    """At least p+q-1: the boundary strata of the minimal compactification
+    are the spaces (p-r, q-r), and pq - (p-1)(q-1) = p+q-1."""
+    if p < 1 or q < 1:
+        raise GroundTooSmall("boundary codimension needs p, q >= 1")
+    return BoundaryCodim(p + q - 1, exact=False)
 
 
 def torelli_codim(g: int) -> int:

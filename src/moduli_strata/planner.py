@@ -6,7 +6,7 @@ it into a budget: a complete base of dimension d exists when both the
 repeated-factor locus and the compactification boundary have codimension at
 least d + 1 in the ambient family locus, so
 
-    d_max = min(mdec_codim, boundary_codim) - 1.
+    d_max = min(mdec codim, boundary codim) - 1.
 
 The connected monodromy group of the resulting family is the product of
 full symplectic groups of the varying factors (symplectic flavor) or a
@@ -31,13 +31,12 @@ from .hecke_groups import gamma_gamma_codim
 from .moduli import (
     BoundaryCodim,
     GroupExpr,
-    Siegel,
     SpAtom,
     SUFormAtom,
-    UnitarySpace,
-    boundary_codim,
+    siegel_boundary_codim,
     siegel_dim,
     torelli_codim,
+    unitary_boundary_codim,
     unitary_dim,
 )
 from .strata import (
@@ -165,8 +164,8 @@ def plan_family(spec: FamilySpec) -> PlanReport:
         sizes = spec.fixed_dims + spec.varying_dims
         ambient = sum(siegel_dim(d) for d in spec.varying_dims)
         mdec = mdec_codim_fixedpart(spec)
-        per_factor = [boundary_codim(Siegel(d)) for d in spec.varying_dims]
-        boundary = BoundaryCodim(min(b.codim for b in per_factor), exact=all(b.exact for b in per_factor))
+        # each factor's boundary codimension is exactly its dimension
+        boundary = siegel_boundary_codim(spec.varying_dims[0])
         if spec.fixed_dims:
             notes.append(
                 "fixed factors are assumed pairwise non-isogenous, non-isogenous to "
@@ -176,7 +175,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
         sizes = (1,) * spec.elliptic_count + (spec.p + spec.q,)
         ambient = unitary_dim(spec.p, spec.q)
         mdec = mdec_codim_unitary_fixedpart(spec.elliptic_count, spec.p, spec.q)
-        boundary = boundary_codim(UnitarySpace(spec.p, spec.q))
+        boundary = unitary_boundary_codim(spec.p, spec.q)
         notes.append(
             "fixed elliptic factors are assumed pairwise non-isogenous and without "
             "extra endomorphisms; the varying factor is assumed general in its moduli"
@@ -222,7 +221,7 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
 
     Symplectic targets are padded with pairwise non-isogenous elliptic
     fixed factors of dimension 1; a unitary target needs at least one such
-    pad, i.e. 5 <= p+q+1 <= g'.
+    pad, g' >= p+q+1, and ``UnitaryFamily`` rejects p+q < 4.
     """
     atoms = target.atoms
     if all(isinstance(a, SpAtom) for a in atoms):
@@ -235,8 +234,6 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
         return SymplecticFamily(fixed_dims=(1,) * pad, varying_dims=ranks)
     if len(atoms) == 1 and isinstance(atoms[0], SUFormAtom):
         p, q = atoms[0].p, atoms[0].q
-        if p + q + 1 < 5:
-            raise UnitaryBoundViolated(f"need p+q+1 >= 5, got {p + q + 1}")
         if g_prime < p + q + 1:
             raise UnitaryBoundViolated(f"need g' >= p+q+1 = {p + q + 1}, got {g_prime}")
         return UnitaryFamily(elliptic_count=g_prime - (p + q), p=p, q=q)
@@ -284,28 +281,26 @@ class KodairaReport:
 def kodaira_budget(fiber_genus: int) -> KodairaReport:
     """Feasibility of the complete-curve-family construction at a genus.
 
-    Uses the spec {elliptic} x (moduli of (genus-1)-folds); the method
-    needs post_torelli_budget = min(mdec, boundary) - torelli >= 2.
+    Plans the spec {elliptic} x (moduli of (genus-1)-folds); the method
+    needs post_torelli_budget = plan budget - torelli >= 2.
     """
     if fiber_genus < 3:
         raise GenusTooSmall(f"fiber genus must be >= 3, got {fiber_genus}")
-    spec = SymplecticFamily(fixed_dims=(1,), varying_dims=(fiber_genus - 1,))
-    mdec = mdec_codim_fixedpart(spec)
-    boundary = boundary_codim(Siegel(fiber_genus - 1))
+    plan = plan_family(SymplecticFamily(fixed_dims=(1,), varying_dims=(fiber_genus - 1,)))
     torelli = torelli_codim(fiber_genus)
-    budget = min(mdec.codim, boundary.codim) - torelli
+    budget = plan.budget - torelli
     notes = (
         "ramification of the period map over the hyperelliptic locus is "
         "resolved by a branched double cover of the base",
     )
     return KodairaReport(
         fiber_genus=fiber_genus,
-        spec=spec,
-        mdec=mdec,
-        boundary=boundary,
+        spec=plan.spec,
+        mdec=plan.mdec,
+        boundary=plan.boundary,
         torelli_codim=torelli,
         post_torelli_budget=budget,
         feasible=budget >= 2,
-        monodromy=GroupExpr.of([SpAtom(fiber_genus - 1)]),
+        monodromy=plan.monodromy,
         notes=notes,
     )

@@ -129,11 +129,6 @@ def _check_two_paths(closed: int, raw: int, label: str) -> int:
     return closed
 
 
-def strata_of_product(varying_dims: Sequence[int]) -> tuple[Stratum, ...]:
-    """Strata of the repeated-factor locus in a product of Siegel spaces."""
-    return strata_of_shape(DecompositionShape((), varying_dims))
-
-
 def strata_of_shape(shape: DecompositionShape) -> tuple[Stratum, ...]:
     """Strata for a varying product with a fixed product in front.
 

@@ -22,9 +22,9 @@ from .hecke_groups import (
     gamma_gamma_codim_by_search,
     max_product_dim,
     max_product_dim_by_pairs,
-    sp_total_dim,
     two_block_witness_value,
 )
+from .moduli import sp_dim
 from .partitions import (
     SetPartition,
     bell_number,
@@ -242,7 +242,7 @@ def run_max_product(g_max: int = 8) -> VerificationRun:
     run = VerificationRun("L5.5", f"g in 2..{g_max}")
     for g in range(2, g_max + 1):
         result = max_product_dim(g)
-        expected = sp_total_dim(g) - 4
+        expected = sp_dim(g) - 4
         agree = result.value == expected
         notes = []
         if g <= EXHAUSTIVE_LIMIT:

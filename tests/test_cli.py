@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduli_strata import planner, strata, verify
-from moduli_strata.cli import run
+from moduli_strata.cli import build_parser, run
 from moduli_strata.errors import GroundTooSmall
 from moduli_strata.moduli import BoundaryCodim
 
@@ -94,10 +94,16 @@ class TestExitCodes:
         assert "closed 4, raw 3" in err
 
     def test_budget_disagreement_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(planner, "boundary_codim", lambda space: BoundaryCodim(1, exact=True))
+        monkeypatch.setattr(planner, "siegel_boundary_codim", lambda g: BoundaryCodim(1, exact=True))
         code, out, err = invoke(capsys, ["plan", "--varying", "3", "--json"])
         assert code == 2 and out == "" and "Traceback" not in err
         assert "d_max 0, min_varying_minus_one 2" in err
+
+    def test_kodaira_runs_the_budget_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(planner, "siegel_boundary_codim", lambda g: BoundaryCodim(1, exact=True))
+        code, out, err = invoke(capsys, ["kodaira", "--genus", "4", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
 
     def test_product_minimum_mismatch_is_reported(self, capsys, monkeypatch):
         closed = strata.fixedpart_closed_form
@@ -293,6 +299,48 @@ class TestOutputTargets:
         assert err.startswith("moduli-strata: error: ") and "--elliptic" in err
 
 
+class TestInputLimits:
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["plan", "--varying", "1000000000"], "argument --varying: dimensions add up to 1000000000"),
+            (["plan", "--unitary", "2,2", "--elliptic", "1000000000000"], "argument --elliptic: 1000000000000"),
+            (["plan", "--unitary", "2,2", "--elliptic", str(10**20)], f"argument --elliptic: {10**20}"),
+            (["realize", "--varying", "2", "--g", "1000000000000"], "argument --g: 1000000000000"),
+            (["verify", "L3.2", "--g-max", "100000"], "argument --g-max: 100000"),
+            (["gamma", "--g", "1200"], "argument --g: 1200"),
+            (["kodaira", "--genus", "1000000000"], "argument --genus: 1000000000"),
+            (["strata", "--fixed", "100,101", "--varying", "3"], "argument --fixed: dimensions add up to 201"),
+            (["strata", "--unitary", "100,101"], "argument --unitary: dimensions add up to 201"),
+            (["gamma", "--g", "21"], "argument --g: 21 is above the limit 20"),
+            (["verify", "L5.5", "--g-max", "10"], "argument --g-max: 10 is above the limit 9"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_above_limit_is_usage_error(self, capsys, argv, needle):
+        code, out, err = invoke(capsys, argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: error: ") and err.count("\n") == 1 and needle in err
+
+    @pytest.mark.parametrize("argv", [["gamma", "--g", "20"], ["verify", "L3.2", "--g-max", "9"]], ids=" ".join)
+    def test_limit_itself_is_accepted(self, argv):
+        build_parser().parse_args(argv)  # parsed only: each run takes seconds
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--fixed", "200", "--varying", "2," * 99 + "2"],
+            ["plan", "--unitary", "100,100", "--elliptic", "200"],
+            ["strata", "--unitary", "100,100"],
+            ["kodaira", "--genus", "200"],
+            ["realize", "--varying", "2", "--g", "200"],
+        ],
+        ids=lambda argv: " ".join(argv)[:40],
+    )
+    def test_largest_cheap_requests_run(self, capsys, argv):
+        assert invoke(capsys, argv)[0] == 0
+
+
 class TestTranslateMargin:
     def test_large_spec_margin(self, capsys):
         # g = 28 with largest block 7: the closed form gives 4 * (28 - 7)
@@ -301,11 +349,14 @@ class TestTranslateMargin:
         assert json.loads(out)["result"]["hecke_margin"] == 84
 
 
-_DIMS = st.lists(st.integers(0, 5), max_size=3).map(lambda xs: ",".join(map(str, xs)))
-_SMALL = st.integers(-1, 6).map(str)
+#: far beyond every input limit, either sign; values between the small
+#: ranges and the limits are left out because they take seconds each
+_HUGE = st.integers(10**3, 10**20) | st.integers(-10**20, -10**3)
+_DIMS = st.lists(st.integers(0, 5) | _HUGE, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+_INT = (st.integers(-1, 6) | _HUGE).map(str)
 _VALUES = {
-    "--fixed": _DIMS, "--varying": _DIMS, "--unitary": _DIMS, "--elliptic": _SMALL, "--g": _SMALL,
-    "--genus": _SMALL, "--g-max": st.integers(-2, 4).map(str),
+    "--fixed": _DIMS, "--varying": _DIMS, "--unitary": _DIMS, "--elliptic": _INT, "--g": _INT,
+    "--genus": _INT, "--g-max": (st.integers(-2, 4) | _HUGE).map(str),
     "--out": st.sampled_from([os.devnull, "/nonexistent-dir/report"]),
     "--json": None, "--timing": None, "--witness-all": None, "--require-feasible": None,
 }

@@ -14,10 +14,9 @@ from moduli_strata.hecke_groups import (
     max_product_dim_by_pairs,
     product_dim,
     product_dim_from_matrix,
-    sp_total_dim,
     two_block_witness_value,
 )
-from moduli_strata.moduli import GroupExpr, SpAtom
+from moduli_strata.moduli import GroupExpr, SpAtom, sp_dim
 from moduli_strata.partitions import (
     SetPartition,
     enumerate_proper_partitions,
@@ -116,7 +115,7 @@ class TestMaxProductDim:
     @pytest.mark.parametrize("g,expected", [(2, 6), (3, 17), (4, 32), (5, 51)])
     def test_values(self, g, expected):
         r = max_product_dim(g)
-        assert r.value == expected == sp_total_dim(g) - 4
+        assert r.value == expected == sp_dim(g) - 4
 
     def test_witness_realized_by_spec_pair(self):
         r = max_product_dim(3)
@@ -138,7 +137,7 @@ class TestMaxProductDim:
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_two_block_family_attains_maximum(self, g):
-        assert two_block_witness_value(g) == sp_total_dim(g) - 4
+        assert two_block_witness_value(g) == sp_dim(g) - 4
 
     def test_completion_route_matches_exhaustive(self):
         # the scaling route used beyond the exhaustive limit agrees with
@@ -157,7 +156,7 @@ class TestMaxProductDim:
 
     def test_large_ground_uses_completion_route(self):
         r = max_product_dim(10)
-        assert r.value == sp_total_dim(10) - 4
+        assert r.value == sp_dim(10) - 4
         assert r.witness.total == 10
 
     def test_collect_all_lists_every_maximizer(self):
@@ -186,7 +185,7 @@ class TestTranslateMargin:
         parts = enumerate_proper_partitions(g)
         for lam in parts:
             sizes = lam.block_sizes
-            direct = sp_total_dim(g) - max(product_dim(mu, lam) for mu in parts)
+            direct = sp_dim(g) - max(product_dim(mu, lam) for mu in parts)
             assert gamma_gamma_codim(sizes) == gamma_gamma_codim_by_search(sizes) == direct
         for sizes in {tuple(sorted(lam.block_sizes)) for lam in parts}:
             assert gamma_gamma_codim_by_pairs(sizes) == gamma_gamma_codim(sizes)

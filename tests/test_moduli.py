@@ -5,14 +5,13 @@ import pytest
 from moduli_strata.errors import GroundTooSmall, RankTooSmall, UnitaryBoundViolated
 from moduli_strata.moduli import (
     GroupExpr,
-    Siegel,
     SpAtom,
     SUFormAtom,
-    UnitarySpace,
-    boundary_codim,
     half_exact,
+    siegel_boundary_codim,
     siegel_dim,
     torelli_codim,
+    unitary_boundary_codim,
     unitary_dim,
 )
 
@@ -39,28 +38,28 @@ class TestDimensions:
 
 class TestBoundary:
     def test_siegel_exact(self):
-        b = boundary_codim(Siegel(3))
+        b = siegel_boundary_codim(3)
         assert (b.codim, b.exact) == (3, True)
-        assert boundary_codim(Siegel(1)).codim == 1
+        assert siegel_boundary_codim(1).codim == 1
 
     def test_unitary_lower_bound(self):
-        b = boundary_codim(UnitarySpace(2, 2))
+        b = unitary_boundary_codim(2, 2)
         assert (b.codim, b.exact) == (3, False)
 
     def test_degenerate_rejected(self):
         with pytest.raises(GroundTooSmall):
-            boundary_codim(Siegel(0))
+            siegel_boundary_codim(0)
         with pytest.raises(GroundTooSmall):
-            boundary_codim(UnitarySpace(0, 2))
+            unitary_boundary_codim(0, 2)
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_siegel_boundary_is_dimension_drop(self, g):
-        assert boundary_codim(Siegel(g)).codim == siegel_dim(g) - siegel_dim(g - 1)
+        assert siegel_boundary_codim(g).codim == siegel_dim(g) - siegel_dim(g - 1)
 
     @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 7) for q in range(1, 7)])
     def test_unitary_boundary_is_dimension_drop(self, p, q):
         drop = unitary_dim(p, q) - unitary_dim(p - 1, q - 1)
-        assert boundary_codim(UnitarySpace(p, q)).codim == drop
+        assert unitary_boundary_codim(p, q).codim == drop
 
 
 class TestTorelli:

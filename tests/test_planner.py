@@ -148,8 +148,8 @@ class TestRealize:
             realize_group(GroupExpr.of([SpAtom(3), SpAtom(3)]), 5)
         with pytest.raises(UnitaryBoundViolated):
             realize_group(GroupExpr.of([SUFormAtom(2, 2)]), 4)  # needs g' >= p+q+1
-        with pytest.raises(UnitaryBoundViolated):
-            realize_group(GroupExpr.of([SUFormAtom(1, 2)]), 9)  # p+q+1 < 5
+        with pytest.raises(SpecInvalid, match=r"p\+q=3 < 4"):
+            realize_group(GroupExpr.of([SUFormAtom(1, 2)]), 9)  # UnitaryFamily's p+q >= 4
         with pytest.raises(UnrealizableTarget):
             realize_group(GroupExpr.of([SpAtom(2), SUFormAtom(2, 2)]), 9)
 

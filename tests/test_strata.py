@@ -12,7 +12,6 @@ from moduli_strata.strata import (
     mdec_codim_product,
     mdec_codim_unitary,
     mdec_codim_unitary_fixedpart,
-    strata_of_product,
     strata_of_shape,
     strata_of_unitary,
     unitary_closed_form,
@@ -25,7 +24,7 @@ def by_kind_params(strata):
 
 class TestProductStrata:
     def test_two_three(self):
-        s = by_kind_params(strata_of_product((2, 3)))
+        s = by_kind_params(strata_of_shape(DecompositionShape((), (2, 3))))
         assert s[("b_diag", (1, 1))].codim == 2
         assert s[("b_diag", (2, 1))].codim == 4
         assert s[("b_offdiag", (1, 2, 1))].codim == 4
@@ -33,15 +32,15 @@ class TestProductStrata:
         assert len(s) == 4
 
     def test_single_factor(self):
-        strata = strata_of_product((2,))
+        strata = strata_of_shape(DecompositionShape((), (2,)))
         assert len(strata) == 1
         assert strata[0].kind == "b_diag" and strata[0].codim == 2
 
     def test_rejects_small_dims(self):
         with pytest.raises(VaryingDimTooSmall):
-            strata_of_product((1, 3))
+            strata_of_shape(DecompositionShape((), (1, 3)))
         with pytest.raises(VaryingDimTooSmall):
-            strata_of_product(())
+            strata_of_shape(DecompositionShape((), ()))
 
     def test_minimum_examples(self):
         assert mdec_codim_product((2, 3)).codim == 2
@@ -177,10 +176,10 @@ class TestTwoPathConsistency:
     """Raw dimension sums define every stratum; closed forms must match."""
 
     def test_product_codims_both_paths(self):
-        # strata_of_product raises internally on any mismatch; a broad
+        # strata_of_shape raises internally on any mismatch; a broad
         # sweep exercises every parameter branch.
         for dims in combinations_with_replacement(range(2, 8), 3):
-            strata_of_product(dims)
+            strata_of_shape(DecompositionShape((), dims))
 
     def test_unitary_codims_both_paths(self):
         for p in range(1, 9):
