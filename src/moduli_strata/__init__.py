@@ -70,7 +70,6 @@ from .strata import (
     MinCodim,
     Stratum,
     mdec_codim_fixedpart,
-    mdec_codim_product,
     mdec_codim_unitary,
     mdec_codim_unitary_fixedpart,
     strata_of_shape,
@@ -92,7 +91,7 @@ __all__ = [
     "unitary_boundary_codim", "torelli_codim",
     # strata
     "Stratum", "DecompositionShape", "MinCodim", "strata_of_shape", "strata_of_unitary",
-    "mdec_codim_product", "mdec_codim_fixedpart", "mdec_codim_unitary", "mdec_codim_unitary_fixedpart",
+    "mdec_codim_fixedpart", "mdec_codim_unitary", "mdec_codim_unitary_fixedpart",
     # hecke groups
     "MaxProductDim", "gamma_dim", "product_dim", "product_dim_from_matrix",
     "max_product_dim", "max_product_dim_by_pairs", "gamma_gamma_codim",

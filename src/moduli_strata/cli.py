@@ -11,6 +11,7 @@ disagreement was found, 3 an infeasible plan was requested together with
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -32,6 +33,8 @@ from .strata import (
     DecompositionShape,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
+    strata_of_shape,
+    strata_of_unitary,
 )
 from .verify import CHECKS, run_check
 
@@ -145,18 +148,23 @@ def build_parser() -> _Parser:
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
+    # JSON goes out in blocks of encoder chunks: ``json.dumps`` joins these
+    # same chunks, so the bytes match while a multi-megabyte report is never
+    # held whole.  Blocks, not single chunks, keep an unbuffered stdout
+    # (``python -u``) from making one system call per chunk.
     if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+        blocks = itertools.chain(iter(lambda: "".join(itertools.islice(chunks, 8192)), ""), ("\n",))
     else:
-        text = _render_text(payload)
+        blocks = (_render_text(payload),)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _render_lines(value: object, indent: int = 0) -> list[str]:
@@ -233,14 +241,22 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     _fixed_needs_varying(args)
     if args.unitary is not None:
         p, q = args.unitary
+        strata = strata_of_unitary(p, q)
         minimum = mdec_codim_unitary(p, q)
         inputs = {"flavor": "unitary", "p": p, "q": q}
     else:
         shape = DecompositionShape(args.fixed, args.varying)
+        strata = strata_of_shape(shape)
         minimum = mdec_codim_fixedpart(shape)
+        # the memoized minimum must pick the first stratum of the full enumeration
+        if strata[0] != minimum.witness:
+            raise Disagreement(
+                f"memoized and enumerated minima differ for {shape}",
+                memoized=f"{minimum.witness.label} of codimension {minimum.codim}",
+                enumerated=f"{strata[0].label} of codimension {strata[0].codim}",
+            )
         # --fixed is echoed in the order given
         inputs = {"flavor": "symplectic", "fixed_dims": list(args.fixed), "varying_dims": list(shape.varying_dims)}
-    strata = minimum.strata
     result = {
         "ambient_dim": strata[0].ambient_dim if strata else 0,
         "count": len(strata),

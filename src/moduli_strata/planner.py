@@ -220,8 +220,9 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
     """A family spec of total dimension g' whose monodromy group is target.
 
     Symplectic targets are padded with pairwise non-isogenous elliptic
-    fixed factors of dimension 1; a unitary target needs at least one such
-    pad, g' >= p+q+1, and ``UnitaryFamily`` rejects p+q < 4.
+    fixed factors of dimension 1; a unitary target must pass
+    ``UnitaryFamily``'s rules (p+q >= 4) and then needs at least one such
+    pad, g' >= p+q+1.
     """
     atoms = target.atoms
     if all(isinstance(a, SpAtom) for a in atoms):
@@ -234,9 +235,11 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
         return SymplecticFamily(fixed_dims=(1,) * pad, varying_dims=ranks)
     if len(atoms) == 1 and isinstance(atoms[0], SUFormAtom):
         p, q = atoms[0].p, atoms[0].q
-        if g_prime < p + q + 1:
+        # the family's own rules first, so a p+q = 3 target is not sent to a larger g'
+        family = UnitaryFamily(elliptic_count=max(g_prime - (p + q), 0), p=p, q=q)
+        if family.elliptic_count < 1:
             raise UnitaryBoundViolated(f"need g' >= p+q+1 = {p + q + 1}, got {g_prime}")
-        return UnitaryFamily(elliptic_count=g_prime - (p + q), p=p, q=q)
+        return family
     raise UnrealizableTarget(
         "target must be a product of Sp atoms or a single SU-form atom"
     )

@@ -28,8 +28,8 @@ minima; a disagreement is reported, never silently overridden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import Disagreement, InvalidShape, VaryingDimTooSmall
 from .moduli import half_exact, quarter_exact, siegel_dim, unitary_dim
@@ -102,8 +102,7 @@ class MinCodim:
     """Minimum codimension over a stratum family, with audit trail.
 
     ``closed_form`` is the published formula's value where one applies;
-    ``agrees`` records whether the enumerated minimum matches it.
-    ``strata`` holds the enumerated strata the minimum was taken over.
+    ``agrees`` records whether the computed minimum matches it.
     """
 
     codim: int
@@ -111,7 +110,6 @@ class MinCodim:
     closed_form: int | None
     agrees: bool
     notes: tuple[str, ...] = ()
-    strata: tuple[Stratum, ...] = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -129,6 +127,46 @@ def _check_two_paths(closed: int, raw: int, label: str) -> int:
     return closed
 
 
+# Each stratum codimension depends only on the dimensions involved, never
+# on the factor positions, so the per-family minima below are memoized by
+# those dimensions and the two-path check runs once per distinct stratum.
+# An absorption key holds a single stratum, so its codimension is memoized
+# directly.
+
+
+def _offdiag_codim(gi: int, gj: int, d: int) -> int:
+    closed = half_exact(d * (2 * gi + 2 * gj + 1 - 3 * d))
+    raw = siegel_dim(gi) + siegel_dim(gj) - siegel_dim(gi - d) - siegel_dim(d) - siegel_dim(gj - d)
+    return _check_two_paths(closed, raw, f"b_offdiag of dimensions {gi}, {gj} at d = {d}")
+
+
+def _diag_codim(gi: int, d: int) -> int:
+    closed = half_exact(d * (4 * gi + 1 - 5 * d))
+    raw = siegel_dim(gi) - siegel_dim(gi - 2 * d) - siegel_dim(d)
+    return _check_two_paths(closed, raw, f"b_diag of dimension {gi} at d = {d}")
+
+
+@lru_cache(maxsize=None)
+def _absorb_codim(gi: int, gc: int) -> int:
+    """Codimension of a fixed factor of dimension gc <= gi absorbed by a
+    varying factor of dimension gi."""
+    closed = half_exact(gc * (2 * gi + 1 - gc))
+    raw = siegel_dim(gi) - siegel_dim(gi - gc)
+    return _check_two_paths(closed, raw, f"c of dimensions {gi}, {gc}")
+
+
+@lru_cache(maxsize=None)
+def _offdiag_min(gi: int, gj: int) -> tuple[int, int]:
+    """Smallest ``(codim, d)`` of ``b_offdiag`` on factors of dimensions gi, gj."""
+    return min((_offdiag_codim(gi, gj, d), d) for d in range(1, min(gi, gj) + 1))
+
+
+@lru_cache(maxsize=None)
+def _diag_min(gi: int) -> tuple[int, int]:
+    """Smallest ``(codim, d)`` of ``b_diag`` on a factor of dimension gi >= 2."""
+    return min((_diag_codim(gi, d), d) for d in range(1, gi // 2 + 1))
+
+
 def strata_of_shape(shape: DecompositionShape) -> tuple[Stratum, ...]:
     """Strata for a varying product with a fixed product in front.
 
@@ -136,7 +174,8 @@ def strata_of_shape(shape: DecompositionShape) -> tuple[Stratum, ...]:
     are computed both by the closed forms above and by alternating sums of
     Siegel dimensions; the two paths must agree exactly.  The fixed factors
     contribute the absorption strata ``c(i, j)``; pairs with g_c > g_v are
-    empty and omitted.
+    empty and omitted.  This full enumeration is the independent check of
+    the memoized minimum in ``mdec_codim_fixedpart``.
     """
     dims = shape.varying_dims
     ambient = sum(siegel_dim(d) for d in dims)
@@ -145,41 +184,14 @@ def strata_of_shape(shape: DecompositionShape) -> tuple[Stratum, ...]:
         for j in range(i + 1, len(dims) + 1):
             gj = dims[j - 1]
             for d in range(1, min(gi, gj) + 1):
-                closed = half_exact(d * (2 * gi + 2 * gj + 1 - 3 * d))
-                raw = (
-                    siegel_dim(gi) + siegel_dim(gj)
-                    - siegel_dim(gi - d) - siegel_dim(d) - siegel_dim(gj - d)
-                )
-                codim = _check_two_paths(closed, raw, f"b_offdiag({i},{j},{d})")
-                out.append(Stratum("b_offdiag", (i, j, d), ambient, ambient - codim))
+                out.append(Stratum("b_offdiag", (i, j, d), ambient, ambient - _offdiag_codim(gi, gj, d)))
         for d in range(1, gi // 2 + 1):
-            closed = half_exact(d * (4 * gi + 1 - 5 * d))
-            raw = siegel_dim(gi) - siegel_dim(gi - 2 * d) - siegel_dim(d)
-            codim = _check_two_paths(closed, raw, f"b_diag({i},{d})")
-            out.append(Stratum("b_diag", (i, d), ambient, ambient - codim))
+            out.append(Stratum("b_diag", (i, d), ambient, ambient - _diag_codim(gi, d)))
         for j, gc in enumerate(shape.fixed_dims, start=1):
-            if gc > gi:
-                continue
-            closed = half_exact(gc * (2 * gi + 1 - gc))
-            raw = siegel_dim(gi) - siegel_dim(gi - gc)
-            codim = _check_two_paths(closed, raw, f"c({i},{j})")
-            out.append(Stratum("c", (i, j), ambient, ambient - codim))
+            if gc <= gi:
+                out.append(Stratum("c", (i, j), ambient, ambient - _absorb_codim(gi, gc)))
     out.sort(key=Stratum.sort_key)
     return tuple(out)
-
-
-def _min_stratum(strata: Iterable[Stratum]) -> Stratum:
-    return min(strata, key=Stratum.sort_key)
-
-
-def mdec_codim_product(varying_dims: Sequence[int]) -> MinCodim:
-    """Minimal codimension of the repeated-factor locus in a pure product.
-
-    The enumerated minimum provably equals 2*g1 - 2 for the smallest factor
-    dimension g1; the identity is still recomputed on every call, and a
-    mismatch is reported as ``agrees=False``.
-    """
-    return mdec_codim_fixedpart(DecompositionShape((), varying_dims))
 
 
 def fixedpart_closed_form(shape: DecompositionShape) -> int | None:
@@ -205,16 +217,31 @@ def fixedpart_closed_form(shape: DecompositionShape) -> int | None:
 def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
     """Minimal codimension of the repeated-factor locus for a shape.
 
-    Whenever all fixed dimensions are at most all varying dimensions the
-    enumerated minimum must match the closed form; otherwise only the
-    enumeration is authoritative and the exclusion is noted.  In every
-    case the minimum is at least the smallest varying dimension.
+    The witness is the least stratum by ``Stratum.sort_key``, taken over
+    the memoized minimum of each family and factor pair; it must be the
+    first stratum of ``strata_of_shape``, which the ``strata`` command and
+    the tests check.  Whenever all fixed dimensions are at most all varying
+    dimensions the minimum must match the closed form; otherwise only the
+    computed minimum stands and the exclusion is noted.  In every case the
+    minimum is at least the smallest varying dimension.
     """
-    strata = strata_of_shape(shape)
-    witness = _min_stratum(strata)
-    gv1 = shape.varying_dims[0]
-    if witness.codim < gv1:
-        raise Disagreement(f"fixed-part minimum below its bound for {shape}", minimum=witness.codim, bound=gv1)
+    dims = shape.varying_dims
+    candidates: list[tuple[int, str, tuple[int, ...]]] = []
+    for i, gi in enumerate(dims, start=1):
+        for j in range(i + 1, len(dims) + 1):
+            codim, d = _offdiag_min(gi, dims[j - 1])
+            candidates.append((codim, "b_offdiag", (i, j, d)))
+        codim, d = _diag_min(gi)
+        candidates.append((codim, "b_diag", (i, d)))
+        for j, gc in enumerate(shape.fixed_dims, start=1):
+            if gc <= gi:
+                candidates.append((_absorb_codim(gi, gc), "c", (i, j)))
+    codim, kind, params = min(candidates)
+    ambient = sum(siegel_dim(d) for d in dims)
+    witness = Stratum(kind, params, ambient, ambient - codim)
+    gv1 = dims[0]
+    if codim < gv1:
+        raise Disagreement(f"fixed-part minimum below its bound for {shape}", minimum=codim, bound=gv1)
     closed = fixedpart_closed_form(shape)
     notes: list[str] = []
     if closed is None:
@@ -231,12 +258,12 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
         )
         agrees = True
     else:
-        agrees = witness.codim == closed
+        agrees = codim == closed
         if not agrees:
             notes.append(
-                f"enumerated minimum {witness.codim} differs from closed form {closed}"
+                f"enumerated minimum {codim} differs from closed form {closed}"
             )
-    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes), strata)
+    return MinCodim(codim, witness, closed, agrees, tuple(notes))
 
 
 def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
@@ -291,7 +318,7 @@ def mdec_codim_unitary(p: int, q: int) -> MinCodim:
     the disagreement is reported in the result.
     """
     strata = strata_of_unitary(p, q)
-    witness = _min_stratum(strata)
+    witness = min(strata, key=Stratum.sort_key)
     closed = unitary_closed_form(p, q)
     notes: list[str] = []
     agrees = True
@@ -311,7 +338,7 @@ def mdec_codim_unitary(p: int, q: int) -> MinCodim:
                 f"largest unitary_cm stratum is {top.label} with k+l > 2 "
                 f"(dimension {top.stratum_dim}); the k+l = 2 strata are smaller"
             )
-    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes), strata)
+    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes))
 
 
 def mdec_codim_unitary_fixedpart(r: int, p: int, q: int) -> MinCodim:

@@ -35,7 +35,6 @@ from .strata import (
     NONCM_DISPLAY_NOTE,
     DecompositionShape,
     mdec_codim_fixedpart,
-    mdec_codim_product,
     mdec_codim_unitary,
     mdec_codim_unitary_fixedpart,
 )
@@ -105,7 +104,7 @@ def run_product_min(g_max: int = 6) -> VerificationRun:
     """Minimal codimension in pure products equals 2*g1 - 2."""
     run = VerificationRun("L3.1", f"sorted tuples, entries in [2,{g_max}], length <= 4")
     for dims in _sorted_tuples(range(2, g_max + 1), 4):
-        result = mdec_codim_product(dims)
+        result = mdec_codim_fixedpart(DecompositionShape((), dims))
         expected = 2 * dims[0] - 2
         run.cases.append(
             CaseRecord(

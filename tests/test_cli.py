@@ -47,6 +47,15 @@ GOLDEN_STDOUT_SHA256 = {
     "no-such-command": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
+#: sha256 of the exact stdout of calls that reach the fixed-part minimum,
+#: recorded while it was still taken over the full stratum enumeration.
+MEMOIZED_ROUTE_STDOUT_SHA256 = {
+    "verify L3.2 --g-max 4 --json": "861957d4db84ceb07a28c31a49051671d7857f2abc7e8b7eb8c6f3bbb570e16b",
+    "strata --fixed 1,4 --varying 3,5 --json": "0a455621fcce8dd1e29a504b2f8f92d5ae36ee3d5671fe765579af61e6a33a91",
+    "strata --fixed 1,4 --varying 3,5 --witness-all --json":
+        "a101bc377f03469908a1810364d38cfe66da3d1486b694890caad12831be3492",
+}
+
 
 def invoke(capsys, argv):
     code = run(argv)
@@ -108,37 +117,52 @@ class TestExitCodes:
     def test_product_minimum_mismatch_is_reported(self, capsys, monkeypatch):
         closed = strata.fixedpart_closed_form
         monkeypatch.setattr(strata, "fixedpart_closed_form", lambda shape: closed(shape) + 1)
-        result = strata.mdec_codim_product((3, 3))
+        result = strata.mdec_codim_fixedpart(strata.DecompositionShape((), (3, 3)))
         assert (result.codim, result.closed_form, result.agrees) == (4, 5, False)
         code, out, _ = invoke(capsys, ["strata", "--varying", "3,3", "--json"])
         assert code == 2 and json.loads(out)["result"]["agrees"] is False
 
     def test_product_minimum_disagreement_is_recorded(self, capsys, monkeypatch):
-        computed = verify.mdec_codim_product
+        computed = verify.mdec_codim_fixedpart
 
-        def off_by_one(dims):
-            r = computed(dims)
-            return strata.MinCodim(r.codim + (tuple(dims) == (3, 3)), r.witness, r.closed_form, r.agrees)
+        def off_by_one(shape):
+            r = computed(shape)
+            return strata.MinCodim(r.codim + (shape.varying_dims == (3, 3)), r.witness, r.closed_form, r.agrees)
 
-        monkeypatch.setattr(verify, "mdec_codim_product", off_by_one)
+        monkeypatch.setattr(verify, "mdec_codim_fixedpart", off_by_one)
         code, out, err = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--json"])
         assert code == 2 and "Traceback" not in err
         bad = [c for c in json.loads(out)["result"]["cases"] if not c["agree"]]
         assert [(c["input"]["varying_dims"], c["expected"], c["computed"]) for c in bad] == [([3, 3], 4, 5)]
 
     def test_fixedpart_below_bound_exits_2(self, capsys, monkeypatch):
-        enumerated = strata.strata_of_shape
-
-        def with_shallow_stratum(shape):
-            out = enumerated(shape)
-            ambient = out[0].ambient_dim
-            return (strata.Stratum("b_diag", (1, 1), ambient, ambient - 1),) + out
-
-        monkeypatch.setattr(strata, "strata_of_shape", with_shallow_stratum)
+        # the memoized b_diag minimum reports a codimension-1 stratum
+        monkeypatch.setattr(strata, "_diag_min", lambda gi: (1, 1))
         code, out, err = invoke(capsys, ["verify", "L3.2", "--g-max", "2", "--json"])
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("moduli-strata: disagreement: fixed-part minimum below its bound")
         assert "minimum 1, bound 2" in err
+
+    def test_memoized_minimum_mismatch_exits_2(self, capsys, monkeypatch):
+        memoized = strata._diag_min
+
+        def shifted(gi):
+            codim, d = memoized(gi)
+            return (codim - 1, d) if gi == 3 else (codim, d)
+
+        # b_diag(1, 1) drops from 4 to 3 and wins the tie with c(1, 1) by kind
+        monkeypatch.setattr(strata, "_diag_min", shifted)
+        code, out, err = invoke(capsys, ["strata", "--fixed", "1", "--varying", "3,4", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: disagreement: memoized and enumerated minima differ")
+        assert err.count("\n") == 1
+        assert "memoized b_diag(1, 1) of codimension 3, enumerated c(1, 1) of codimension 3" in err
+
+    @pytest.mark.parametrize("argv", MEMOIZED_ROUTE_STDOUT_SHA256, ids=str)
+    def test_memoized_route_bytes(self, capsys, argv):
+        code, out, _ = invoke(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MEMOIZED_ROUTE_STDOUT_SHA256[argv]
 
     def test_verify_disagreement_path(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "L3.3", "--json"])
@@ -238,6 +262,14 @@ class TestOutputTargets:
         payload = json.loads(target.read_text())
         assert payload["result"]["d_max"] == 1
 
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["verify", "L3.2", "--g-max", "3", "--json"]
+        target = tmp_path / "report.json"
+        _, out, _ = invoke(capsys, argv)
+        code, quiet, _ = invoke(capsys, argv + ["--out", str(target)])
+        assert code == 0 and quiet == ""
+        assert target.read_bytes() == out.encode()
+
     def test_witness_all_lists_maximizers(self, capsys):
         _, out, _ = invoke(capsys, ["gamma", "--g", "3", "--json", "--witness-all"])
         payload = json.loads(out)
@@ -259,6 +291,7 @@ class TestOutputTargets:
         [
             (["realize", "--varying", "0", "--g", "3"], "rank must be >= 1"),
             (["realize", "--unitary", "0,3", "--g", "5"], "parameters must be >= 1"),
+            (["realize", "--unitary", "1,2", "--g", "3"], "p+q=3 < 4"),
             (["plan", "--unitary", "2,3", "--fixed", "1"], "--fixed applies only with --varying"),
             (["strata", "--unitary", "2,2", "--fixed", "1"], "--fixed applies only with --varying"),
             (["plan", "--varying", "2", "--unitary", "2,2"], "not allowed with"),

@@ -8,7 +8,8 @@ import moduli_strata
 from moduli_strata import hecke_groups, moduli, strata
 
 #: Removed when their formulas got a single home; they must not come back.
-DELETED = ("Siegel", "UnitarySpace", "ModuliSpace", "boundary_codim", "sp_total_dim", "strata_of_product")
+DELETED = ("Siegel", "UnitarySpace", "ModuliSpace", "boundary_codim", "sp_total_dim", "strata_of_product",
+           "mdec_codim_product")
 
 
 def test_no_duplicates():

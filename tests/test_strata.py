@@ -7,9 +7,9 @@ import pytest
 from moduli_strata.errors import InvalidShape, VaryingDimTooSmall
 from moduli_strata.strata import (
     DecompositionShape,
+    Stratum,
     fixedpart_closed_form,
     mdec_codim_fixedpart,
-    mdec_codim_product,
     mdec_codim_unitary,
     mdec_codim_unitary_fixedpart,
     strata_of_shape,
@@ -20,6 +20,10 @@ from moduli_strata.strata import (
 
 def by_kind_params(strata):
     return {(s.kind, s.params): s for s in strata}
+
+
+def product_min(dims):
+    return mdec_codim_fixedpart(DecompositionShape((), dims))
 
 
 class TestProductStrata:
@@ -43,16 +47,16 @@ class TestProductStrata:
             strata_of_shape(DecompositionShape((), ()))
 
     def test_minimum_examples(self):
-        assert mdec_codim_product((2, 3)).codim == 2
-        assert mdec_codim_product((3, 3)).codim == 4
-        assert mdec_codim_product((2, 2, 2)).codim == 2
-        r = mdec_codim_product((3, 3))
+        assert product_min((2, 3)).codim == 2
+        assert product_min((3, 3)).codim == 4
+        assert product_min((2, 2, 2)).codim == 2
+        r = product_min((3, 3))
         assert r.witness.kind == "b_diag" and r.witness.params == (1, 1)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4])
     def test_closed_form_over_box(self, length):
         for dims in combinations_with_replacement(range(2, 7), length):
-            r = mdec_codim_product(dims)
+            r = product_min(dims)
             assert r.codim == 2 * dims[0] - 2
             assert r.agrees
 
@@ -95,6 +99,18 @@ class TestFixedPartStrata:
                     if closed is not None:
                         assert r.codim == closed and r.agrees
                     assert r.codim >= varying[0]
+
+    def test_memoized_witness_is_the_enumerated_minimum(self):
+        # every shape of the default L3.2 box: fixed dims 1..6 and varying
+        # dims 2..6, at most three factors each
+        fixed_choices = [()] + [f for n in (1, 2, 3) for f in combinations_with_replacement(range(1, 7), n)]
+        varying_choices = [v for n in (1, 2, 3) for v in combinations_with_replacement(range(2, 7), n)]
+        assert len(fixed_choices) * len(varying_choices) == 4620
+        for fixed in fixed_choices:
+            for varying in varying_choices:
+                shape = DecompositionShape(fixed, varying)
+                enumerated = min(strata_of_shape(shape), key=Stratum.sort_key)
+                assert mdec_codim_fixedpart(shape).witness == enumerated, shape
 
     def test_adding_fixed_factor_never_increases(self):
         for varying in combinations_with_replacement(range(2, 7), 2):
