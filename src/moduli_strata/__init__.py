@@ -1,12 +1,12 @@
 """Integer dimension calculus for stratified moduli of abelian varieties.
 
 The package computes, with exact integer arithmetic: set-partition
-combinatorics and canonical intersection-matrix types; dimensions and
-boundary codimensions of Siegel and unitary moduli; strata of the
-repeated-factor locus with their minimal codimension; the partition-indexed
-symplectic subgroup calculus with its exhaustively verified maximum; and a
-planner for complete families of indecomposable abelian varieties with
-prescribed connected monodromy group.
+combinatorics on block-id tuples and canonical intersection-matrix types;
+dimensions and boundary codimensions of Siegel and unitary moduli; strata
+of the repeated-factor locus with their minimal codimension; the
+partition-indexed symplectic subgroup calculus with its exhaustively
+verified maximum; and a planner for complete families of indecomposable
+abelian varieties with prescribed connected monodromy group.
 """
 
 __version__ = "0.1.0"
@@ -46,13 +46,10 @@ from .moduli import (
 )
 from .partitions import (
     IntersectionMatrix,
-    SetPartition,
     bell_number,
     enumerate_matrix_types,
     enumerate_proper_partitions,
-    intersection_matrix,
     meet,
-    realize_matrix,
 )
 from .planner import (
     FamilySpec,
@@ -84,8 +81,7 @@ __all__ = [
     "GroundTooSmall", "InvalidShape", "NotProper", "RankTooSmall", "SpecInvalid",
     "TargetTooLarge", "UnitaryBoundViolated", "UnrealizableTarget", "VaryingDimTooSmall",
     # partitions
-    "SetPartition", "IntersectionMatrix", "bell_number", "enumerate_proper_partitions",
-    "enumerate_matrix_types", "intersection_matrix", "meet", "realize_matrix",
+    "IntersectionMatrix", "bell_number", "enumerate_proper_partitions", "enumerate_matrix_types", "meet",
     # moduli
     "BoundaryCodim", "GroupExpr", "SpAtom", "SUFormAtom", "siegel_boundary_codim",
     "unitary_boundary_codim", "torelli_codim",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import __version__
 from .errors import DimensionCalculusError, Disagreement
-from .hecke_groups import gamma_gamma_codim, max_product_dim
+from .hecke_groups import gamma_dim, gamma_gamma_codim, max_product_dim
 from .moduli import GroupExpr, SpAtom, SUFormAtom, sp_dim
 from .partitions import integer_partitions
 from .planner import (
@@ -285,7 +285,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         classes.append(
             {
                 "block_sizes": list(sizes),
-                "gamma_dim": sum(sp_dim(l) for l in sizes),
+                "gamma_dim": gamma_dim(sizes),
                 "translate_codim": gamma_gamma_codim(sizes),
             }
         )

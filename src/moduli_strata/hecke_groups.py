@@ -7,16 +7,20 @@ product of two such subgroups has dimension
     dim(lam) + dim(mu) - dim(lam ^ mu)
 
 where ^ is the common refinement: the pairwise intersection of the two
-subgroups is block-diagonal on the refinement.  The same number can be read
-off the intersection matrix alone: row sums, column sums and nonzero
-entries contribute with the l(2l+1) weight.
+subgroups is block-diagonal on the refinement.  Partitions are block-id
+tuples (see ``partitions``); the pair sweep is the one place that formula
+is evaluated on them.  The same number can be read off the intersection
+matrix alone: row sums, column sums and nonzero entries contribute with
+the l(2l+1) weight.
 
 Two maximizers over all proper pairs are provided: exhaustive enumeration
 of canonical intersection-matrix types (complete for ground sizes up to 8)
 and a memoized best-completion search over column structures that scales
-further; they agree wherever both run.  The direct pair sweep checks them
-on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per block-size
-class, since relabelling both partitions leaves the product unchanged.
+further.  Above 8 the witness is the two-block matrix ((g-2, 1), (1, 0)),
+certified by checking that it attains the search value.  The pair sweep
+checks both on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per
+block-size class, since relabelling both partitions leaves the product
+unchanged.
 
 The translate codimension has the closed form 4(g - largest block); the
 completion search serves only ``max_product_dim`` for g > 8 and C5.6.
@@ -28,36 +32,57 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import Disagreement, GroundTooSmall, NotProper
+from .errors import Disagreement, GroundMismatch, GroundTooSmall, NotProper
 from .moduli import sp_dim
 from .partitions import (
     IntersectionMatrix,
-    SetPartition,
+    Partition,
+    block_sizes,
     enumerate_matrix_types,
     enumerate_proper_partitions,
     integer_partitions,
-    meet,
 )
 
 
-def gamma_dim(partition: SetPartition) -> int:
-    """Dimension of the subgroup attached to a partition: sum of l(2l+1)."""
-    return sum(sp_dim(l) for l in partition.block_sizes)
+def gamma_dim(sizes: Iterable[int]) -> int:
+    """Dimension of the subgroup of a partition with these block sizes: sum of l(2l+1)."""
+    return sum(map(sp_dim, sizes))
 
 
-def product_dim(lam: SetPartition, mu: SetPartition) -> int:
+def _meet_dim(lam: Partition, mu: Partition) -> int:
+    """dim(lam ^ mu): the blocks of the common refinement are the cells of the pair."""
+    return sum(map(sp_dim, Counter(zip(lam, mu)).values()))
+
+
+def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tuple[Partition, Partition]]:
+    """Largest product dimension over lams x mus, with the first pair attaining it.
+
+    Each partition's own dimension is computed once, not once per pair.
+    """
+    weighted = [(mu, gamma_dim(block_sizes(mu))) for mu in mus]
+    best, best_pair = -1, ((), ())
+    for lam in lams:
+        dim_a = gamma_dim(block_sizes(lam))
+        for mu, dim_b in weighted:
+            value = dim_a + dim_b - _meet_dim(lam, mu)
+            if value > best:
+                best, best_pair = value, (lam, mu)
+    return best, best_pair
+
+
+def product_dim(lam: Partition, mu: Partition) -> int:
     """Dimension of the product of the two partition subgroups."""
-    return gamma_dim(lam) + gamma_dim(mu) - gamma_dim(meet(lam, mu))
+    if len(lam) != len(mu):
+        raise GroundMismatch(f"ground sizes differ: {len(lam)} vs {len(mu)}")
+    return _sweep([lam], [mu])[0]
 
 
 def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
     """Same quantity computed from the intersection matrix alone."""
-    value = sum(sp_dim(s) for s in matrix.row_sums)
-    value += sum(sp_dim(s) for s in matrix.col_sums)
-    value -= sum(sp_dim(e) for row in matrix.entries for e in row if e)
-    return value
+    cells = (e for row in matrix.entries for e in row if e)
+    return gamma_dim(matrix.row_sums) + gamma_dim(matrix.col_sums) - gamma_dim(cells)
 
 
 @dataclass(frozen=True)
@@ -78,8 +103,11 @@ def max_product_dim(g: int, collect_all: bool = False) -> MaxProductDim:
     """Maximize the product dimension over all proper partition pairs.
 
     Ground sizes up to EXHAUSTIVE_LIMIT are done by exhausting canonical
-    matrix types; larger ones by the memoized completion search.  Ties are
-    broken by canonical matrix order.
+    matrix types, ties broken by canonical matrix order.  Larger ones take
+    the value of the memoized completion search and the two-block witness
+    ((g-2, 1), (1, 0)), the only maximizer type wherever types are
+    exhausted; a witness that does not attain the search value raises
+    ``Disagreement``.
     """
     if g < 2:
         raise GroundTooSmall(f"need g >= 2, got {g}")
@@ -94,13 +122,15 @@ def max_product_dim(g: int, collect_all: bool = False) -> MaxProductDim:
                 winners.append(matrix)
         winners.sort(key=IntersectionMatrix.sort_key)
         return MaxProductDim(g, best, winners[0], tuple(winners) if collect_all else ())
-    sizes = min((s for s in integer_partitions(g) if len(s) > 1), key=gamma_gamma_codim_by_search)
-    witness = _witness_matrix(sizes)
-    value = sp_dim(g) - gamma_gamma_codim_by_search(sizes)
+    value = sp_dim(g) - min(gamma_gamma_codim_by_search(s) for s in integer_partitions(g) if len(s) > 1)
+    witness = IntersectionMatrix(((g - 2, 1), (1, 0)))
+    attained = product_dim_from_matrix(witness)
+    if attained != value:
+        raise Disagreement(f"two-block witness at g = {g}", search_optimum=value, witness_attains=attained)
     return MaxProductDim(g, value, witness, (witness,) if collect_all else ())
 
 
-def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[SetPartition, SetPartition]]:
+def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:
     """Independent maximizer: direct sweep over proper partition pairs.
 
     ``product_dim`` is unchanged when both partitions are relabelled by
@@ -111,25 +141,14 @@ def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[SetPartition, SetPartit
     if g < 2:
         raise GroundTooSmall(f"need g >= 2, got {g}")
     lams = [_consecutive_blocks(sizes) for sizes in integer_partitions(g) if len(sizes) > 1]
-    mus = [(mu, mu.block_ids(), gamma_dim(mu)) for mu in enumerate_proper_partitions(g)]
-    best, best_pair = -1, (lams[0], mus[0][0])
-    for lam in lams:
-        ids_a, dim_a = lam.block_ids(), gamma_dim(lam)
-        for mu, ids_b, dim_b in mus:
-            cells = Counter(zip(ids_a, ids_b))
-            value = dim_a + dim_b - sum(sp_dim(c) for c in cells.values())
-            if value > best:
-                best, best_pair = value, (lam, mu)
-    return best, best_pair
+    return _sweep(lams, enumerate_proper_partitions(g))
 
 
 def two_block_witness_value(g: int) -> int:
     """Product dimension of the pair {1..g-1 | g} versus {1 | 2..g}."""
     if g < 2:
         raise GroundTooSmall(f"need g >= 2, got {g}")
-    lam = SetPartition.from_blocks([range(1, g), [g]], g)
-    mu = SetPartition.from_blocks([[1], range(2, g + 1)], g)
-    return product_dim(lam, mu)
+    return _sweep([(0,) * (g - 1) + (1,)], [(0,) + (1,) * (g - 1)])[0]
 
 
 # --- best completion against fixed block sizes -------------------------------
@@ -146,14 +165,11 @@ def _capacity_groups(caps: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(value, len(list(grp))) for value, grp in itertools.groupby(caps)]
 
 
-def _columns(
-    caps: tuple[int, ...],
-) -> Iterator[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]]:
+def _columns(caps: tuple[int, ...]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """All ways to carve one column out of the capacity profile.
 
-    Yields (column_value, column_sum, grouped_choice, remaining_profile)
-    where grouped_choice pairs each capacity value with the amounts taken
-    from its rows; rows of equal capacity are interchangeable.
+    Yields (column_value, column_sum, remaining_profile); rows of equal
+    capacity are interchangeable, so each group takes a multiset of amounts.
     """
     groups = _capacity_groups(caps)
     per_group = [
@@ -163,9 +179,7 @@ def _columns(
     for choice in itertools.product(*per_group):
         parts: list[int] = []
         rest: list[int] = []
-        grouped: list[tuple[int, tuple[int, ...]]] = []
         for (cap, _count), taken in zip(groups, choice):
-            grouped.append((cap, taken))
             for v in taken:
                 if v:
                     parts.append(v)
@@ -175,7 +189,7 @@ def _columns(
             continue
         colsum = sum(parts)
         value = sp_dim(colsum) - sum(sp_dim(v) for v in parts)
-        yield value, colsum, tuple(grouped), tuple(sorted(rest, reverse=True))
+        yield value, colsum, tuple(sorted(rest, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +197,7 @@ def _best_fill(caps: tuple[int, ...]) -> int:
     """Best total column value consuming the whole capacity profile."""
     if not caps:
         return 0
-    return max(value + _best_fill(rest) for value, _s, _g, rest in _columns(caps))
+    return max(value + _best_fill(rest) for value, _s, rest in _columns(caps))
 
 
 def _best_against(block_sizes: Sequence[int]) -> int:
@@ -191,49 +205,7 @@ def _best_against(block_sizes: Sequence[int]) -> int:
     caps = tuple(sorted(block_sizes, reverse=True))
     total = sum(caps)
     # a single column would be the improper one-block mu
-    return max(value + _best_fill(rest) for value, colsum, _g, rest in _columns(caps) if colsum != total)
-
-
-def _witness_matrix(block_sizes: Sequence[int]) -> IntersectionMatrix:
-    """Reconstruct one optimal overlap matrix for ``_best_against``."""
-    caps = tuple(sorted(block_sizes, reverse=True))
-    total = sum(caps)
-    target = _best_against(caps)
-
-    rows = list(caps)
-    columns: list[list[int]] = []
-
-    def assign(profile: list[int], grouped: tuple[tuple[int, tuple[int, ...]], ...]) -> list[int]:
-        # Each taken amount depletes a row whose remaining capacity equals
-        # the capacity of the group it was carved from.
-        column = [0] * len(rows)
-        for cap, taken in grouped:
-            targets = [i for i, c in enumerate(profile) if c == cap]
-            for slot, v in zip(targets, taken):
-                column[slot] = v
-        for i, v in enumerate(column):
-            profile[i] -= v
-        return column
-
-    profile = list(rows)
-    need = target
-    first = True
-    while any(profile):
-        caps_now = tuple(sorted((c for c in profile if c), reverse=True))
-        for value, colsum, grouped, rest in _columns(caps_now):
-            if first and colsum == total:
-                continue
-            if value + _best_fill(rest) == need:
-                columns.append(assign(profile, grouped))
-                need -= value
-                first = False
-                break
-        else:
-            raise Disagreement(
-                f"witness reconstruction for block sizes {caps}", search_optimum=target, reconstructed=target - need
-            )
-    entries = tuple(tuple(col[i] for col in columns) for i in range(len(rows)))
-    return IntersectionMatrix(entries)
+    return max(value + _best_fill(rest) for value, colsum, rest in _columns(caps) if colsum != total)
 
 
 def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -248,10 +220,9 @@ def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _consecutive_blocks(sizes: Sequence[int]) -> SetPartition:
+def _consecutive_blocks(sizes: Sequence[int]) -> Partition:
     """The partition of {1, ..., g} into consecutive runs of the given sizes."""
-    ends = itertools.accumulate(sizes)
-    return SetPartition.from_blocks(range(end - l + 1, end + 1) for l, end in zip(sizes, ends))
+    return tuple(i for i, l in enumerate(sizes) for _ in range(l))
 
 
 def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
@@ -274,11 +245,11 @@ def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
 def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
     """Cross-check of ``gamma_gamma_codim`` by the memoized completion search."""
     sizes = _proper_sizes(block_sizes)
-    return sp_dim(sum(sizes)) - sum(sp_dim(l) for l in sizes) - _best_against(sizes)
+    return sp_dim(sum(sizes)) - gamma_dim(sizes) - _best_against(sizes)
 
 
 def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:
     """Brute-force cross-check of ``gamma_gamma_codim`` over all proper mu."""
-    lam = _consecutive_blocks(_proper_sizes(block_sizes))
-    mus = enumerate_proper_partitions(lam.ground_size)
-    return sp_dim(lam.ground_size) - max(product_dim(mu, lam) for mu in mus)
+    sizes = _proper_sizes(block_sizes)
+    g = sum(sizes)
+    return sp_dim(g) - _sweep([_consecutive_blocks(sizes)], enumerate_proper_partitions(g))[0]

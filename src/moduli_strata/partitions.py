@@ -1,10 +1,11 @@
 """Set-partition combinatorics on the ground set {1, ..., g}.
 
-Partitions are stored in a canonical form (blocks sorted by least element,
-elements sorted inside each block) so equality is structural.  Pairs of
-partitions are summarized by their block-intersection matrix, reduced to a
-canonical representative under row and column permutations; all dimension
-computations downstream factor through that matrix.
+A partition is its block-id tuple: entry i - 1 names the block holding
+element i, blocks numbered 0, 1, ... by first appearance (the restricted
+growth string), so equality is structural and no other form is stored.
+Pairs of partitions are summarized by their block-intersection matrix,
+reduced to a canonical representative under row and column permutations;
+the matrix-type maximum downstream factors through that matrix.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import GroundMismatch, GroundTooSmall
+
+#: A partition of {1, ..., g} as its block-id tuple (restricted growth string).
+Partition = tuple[int, ...]
 
 
 def bell_number(n: int) -> int:
@@ -31,78 +35,16 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of {1, ..., ground_size} into disjoint nonempty blocks."""
+def iter_all_partitions(g: int) -> Iterator[Partition]:
+    """Every partition of {1, ..., g}, proper or not, in lexicographic order.
 
-    ground_size: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.ground_size < 1:
-            raise ValueError(f"ground size must be >= 1, got {self.ground_size}")
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty blocks are not allowed")
-            for x in block:
-                if not 1 <= x <= self.ground_size:
-                    raise ValueError(f"element {x} outside 1..{self.ground_size}")
-                if x in seen:
-                    raise ValueError(f"element {x} appears twice")
-                seen.add(x)
-        if len(seen) != self.ground_size:
-            raise ValueError("blocks do not cover the ground set")
-        canonical = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canonical)
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[int]], ground_size: int | None = None) -> "SetPartition":
-        blks = tuple(tuple(b) for b in blocks)
-        if ground_size is None:
-            ground_size = sum(len(b) for b in blks)
-        return cls(ground_size, blks)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-    @property
-    def is_proper(self) -> bool:
-        """True when there are at least two blocks."""
-        return len(self.blocks) >= 2
-
-    def block_ids(self) -> tuple[int, ...]:
-        """Index of the block containing each element, positions 1..g."""
-        ids = [0] * self.ground_size
-        for i, block in enumerate(self.blocks):
-            for x in block:
-                ids[x - 1] = i
-        return tuple(ids)
-
-    def relabel(self, perm: Sequence[int]) -> "SetPartition":
-        """Apply a permutation of the ground set; perm[i-1] is the image of i."""
-        if sorted(perm) != list(range(1, self.ground_size + 1)):
-            raise ValueError("perm must be a permutation of 1..g")
-        return SetPartition(self.ground_size, tuple(tuple(perm[x - 1] for x in b) for b in self.blocks))
-
-    def __str__(self) -> str:
-        return "{" + "|".join("".join(str(x) for x in b) for b in self.blocks) + "}"
-
-
-def _rgs_strings(g: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length g in lexicographic order.
-
-    a[0] = 0 and a[i] <= max(a[:i]) + 1; these encode set partitions with
-    blocks numbered by first appearance.
+    Each is its restricted growth string: a[0] = 0 and a[i] <= max(a[:i]) + 1.
     """
+    if g < 1:
+        raise GroundTooSmall(f"need g >= 1, got {g}")
     a = [0] * g
 
-    def rec(i: int, cur_max: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, cur_max: int) -> Iterator[Partition]:
         if i == g:
             yield tuple(a)
             return
@@ -113,42 +55,28 @@ def _rgs_strings(g: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def partition_from_rgs(rgs: Sequence[int]) -> SetPartition:
-    g = len(rgs)
-    blocks: dict[int, list[int]] = {}
-    for pos, bid in enumerate(rgs, start=1):
-        blocks.setdefault(bid, []).append(pos)
-    return SetPartition(g, tuple(tuple(b) for b in blocks.values()))
-
-
-def iter_all_partitions(g: int) -> Iterator[SetPartition]:
-    """Every partition of {1, ..., g}, proper or not, in a fixed order."""
-    if g < 1:
-        raise GroundTooSmall(f"need g >= 1, got {g}")
-    for rgs in _rgs_strings(g):
-        yield partition_from_rgs(rgs)
-
-
-def enumerate_proper_partitions(g: int) -> list[SetPartition]:
+def enumerate_proper_partitions(g: int) -> list[Partition]:
     """All partitions of {1, ..., g} with at least two blocks.
 
-    There are exactly Bell(g) - 1 of them; the single-block partition is
-    the only one excluded.
+    There are exactly Bell(g) - 1 of them; the single-block partition, the
+    all-zero string, is the only one excluded.
     """
     if g < 2:
         raise GroundTooSmall(f"no proper partition exists for g = {g}")
-    return [p for p in iter_all_partitions(g) if p.is_proper]
+    return [p for p in iter_all_partitions(g) if any(p)]
 
 
-def meet(lam: SetPartition, mu: SetPartition) -> SetPartition:
+def block_sizes(partition: Partition) -> tuple[int, ...]:
+    """Sizes of the blocks of a block-id tuple, in block-id order."""
+    return tuple(map(partition.count, range(max(partition) + 1)))
+
+
+def meet(lam: Partition, mu: Partition) -> Partition:
     """Common refinement: blocks are the nonempty pairwise intersections."""
-    if lam.ground_size != mu.ground_size:
-        raise GroundMismatch(f"ground sizes differ: {lam.ground_size} vs {mu.ground_size}")
-    a, b = lam.block_ids(), mu.block_ids()
-    cells: dict[tuple[int, int], list[int]] = {}
-    for x in range(1, lam.ground_size + 1):
-        cells.setdefault((a[x - 1], b[x - 1]), []).append(x)
-    return SetPartition(lam.ground_size, tuple(tuple(c) for c in cells.values()))
+    if len(lam) != len(mu):
+        raise GroundMismatch(f"ground sizes differ: {len(lam)} vs {len(mu)}")
+    cells: dict[tuple[int, int], int] = {}
+    return tuple(cells.setdefault(cell, len(cells)) for cell in zip(lam, mu))
 
 
 def _group_indices(sums: Sequence[int]) -> list[list[int]]:
@@ -262,17 +190,6 @@ class IntersectionMatrix:
         return (self.rows, self.cols, self.entries)
 
 
-def intersection_matrix(lam: SetPartition, mu: SetPartition) -> IntersectionMatrix:
-    """Canonical intersection matrix of a pair of partitions."""
-    if lam.ground_size != mu.ground_size:
-        raise GroundMismatch(f"ground sizes differ: {lam.ground_size} vs {mu.ground_size}")
-    counts = [[0] * mu.num_blocks for _ in range(lam.num_blocks)]
-    a, b = lam.block_ids(), mu.block_ids()
-    for x in range(lam.ground_size):
-        counts[a[x]][b[x]] += 1
-    return IntersectionMatrix(tuple(tuple(r) for r in counts))
-
-
 def integer_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of n into non-increasing positive parts."""
     if max_part is None:
@@ -353,23 +270,3 @@ def enumerate_matrix_types(g: int) -> list[IntersectionMatrix]:
     matrices.sort(key=IntersectionMatrix.sort_key)
     return matrices
 
-
-def realize_matrix(matrix: IntersectionMatrix) -> tuple[SetPartition, SetPartition]:
-    """A pair of partitions whose intersection matrix is the given type.
-
-    Elements are laid out cell by cell: block j of the first partition
-    collects the elements of row j, block k of the second those of column k.
-    """
-    g = matrix.total
-    rows: list[list[int]] = [[] for _ in range(matrix.rows)]
-    cols: list[list[int]] = [[] for _ in range(matrix.cols)]
-    x = 1
-    for j, row in enumerate(matrix.entries):
-        for k, count in enumerate(row):
-            for _ in range(count):
-                rows[j].append(x)
-                cols[k].append(x)
-                x += 1
-    lam = SetPartition(g, tuple(tuple(b) for b in rows if b))
-    mu = SetPartition(g, tuple(tuple(b) for b in cols if b))
-    return lam, mu

@@ -153,11 +153,13 @@ def atom_to_dict(atom) -> dict:
 def plan_family(spec: FamilySpec) -> PlanReport:
     """Compute the full dimension budget and monodromy for a family spec.
 
-    The repeated-factor codimension comes from stratum enumeration, the
-    boundary codimension from the compactification rule, and the budget is
-    their minimum; d_max = budget - 1.  For unitary specs where the
-    enumeration undercuts the closed form min(2p, p+q-2, 2q), the computed
-    (smaller) budget is reported and the divergence is noted.
+    The repeated-factor codimension comes from per-family stratum minima
+    memoized by factor dimensions (symplectic) or from the stratum
+    enumeration (unitary), the boundary codimension from the
+    compactification rule, and the budget is their minimum; d_max =
+    budget - 1.  For unitary specs where the enumeration undercuts the
+    closed form min(2p, p+q-2, 2q), the computed (smaller) budget is
+    reported and the divergence is noted.
     """
     notes: list[str] = []
     if isinstance(spec, SymplecticFamily):

@@ -26,8 +26,8 @@ from .hecke_groups import (
 )
 from .moduli import sp_dim
 from .partitions import (
-    SetPartition,
     bell_number,
+    block_sizes,
     integer_partitions,
     iter_all_partitions,
 )
@@ -209,19 +209,12 @@ def run_gamma_increment(g_max: int = 6) -> VerificationRun:
         checks = 0
         failures = 0
         for part in iter_all_partitions(g):
-            base = gamma_dim(part)
-            blocks = [list(b) for b in part.blocks]
-            for idx in range(len(blocks) + 1):
-                if idx < len(blocks):
-                    grown = [list(b) for b in blocks]
-                    grown[idx].append(g + 1)
-                    l = len(blocks[idx])
-                else:
-                    grown = [list(b) for b in blocks] + [[g + 1]]
-                    l = 0
-                extended = SetPartition.from_blocks(grown, g + 1)
+            sizes = block_sizes(part)
+            base = gamma_dim(sizes)
+            # element g + 1 joins block idx; idx = len(sizes) opens a singleton
+            for idx, l in enumerate(sizes + (0,)):
                 checks += 1
-                if gamma_dim(extended) - base != 4 * l + 3:
+                if gamma_dim(block_sizes(part + (idx,))) - base != 4 * l + 3:
                     failures += 1
         run.cases.append(
             CaseRecord({"ground": g}, checks, checks - failures, failures == 0)

@@ -1,0 +1,58 @@
+"""Test-side views of block-id tuples.
+
+The library stores a partition of {1, ..., g} only as its block-id tuple
+(restricted growth string).  The tests also build partitions from explicit
+blocks, relabel the ground set, and compare pairs by their intersection
+matrix; those views live here because no command needs them.
+"""
+
+from moduli_strata.errors import GroundMismatch
+from moduli_strata.partitions import IntersectionMatrix
+
+
+def canonical(labels):
+    """The block-id tuple of arbitrary labels: blocks renumbered by first appearance."""
+    ids = {}
+    return tuple(ids.setdefault(x, len(ids)) for x in labels)
+
+
+def blocks(*parts):
+    """The block-id tuple of explicit blocks covering {1, ..., g}."""
+    labels = [None] * sum(len(b) for b in parts)
+    for i, block in enumerate(parts):
+        for x in block:
+            labels[x - 1] = i
+    return canonical(labels)
+
+
+def blocks_of(partition):
+    """The blocks of a block-id tuple as sets of elements."""
+    return [{x for x, b in enumerate(partition, start=1) if b == i} for i in range(max(partition) + 1)]
+
+
+def relabel(partition, perm):
+    """Apply a permutation of the ground set; perm[i-1] is the image of i."""
+    labels = [0] * len(partition)
+    for x, b in enumerate(partition, start=1):
+        labels[perm[x - 1] - 1] = b
+    return canonical(labels)
+
+
+def intersection_matrix(lam, mu):
+    """Canonical intersection matrix of a pair of partitions."""
+    if len(lam) != len(mu):
+        raise GroundMismatch(f"ground sizes differ: {len(lam)} vs {len(mu)}")
+    counts = [[0] * (max(mu) + 1) for _ in range(max(lam) + 1)]
+    for a, b in zip(lam, mu):
+        counts[a][b] += 1
+    return IntersectionMatrix(tuple(tuple(r) for r in counts))
+
+
+def realize(matrix):
+    """A pair of partitions whose intersection matrix is the given type.
+
+    Elements are laid out cell by cell: element x joins block j of the
+    first partition and block k of the second when it falls in cell (j, k).
+    """
+    cells = [(j, k) for j, row in enumerate(matrix.entries) for k, count in enumerate(row) for _ in range(count)]
+    return canonical(j for j, _ in cells), canonical(k for _, k in cells)

@@ -23,8 +23,8 @@ from moduli_strata.hecke_groups import gamma_gamma_codim
 from moduli_strata.moduli import GroupExpr, SpAtom
 from moduli_strata.partitions import (
     bell_number,
+    block_sizes,
     enumerate_proper_partitions,
-    intersection_matrix,
     meet,
 )
 from moduli_strata.planner import (
@@ -36,6 +36,7 @@ from moduli_strata.planner import (
 )
 from moduli_strata.strata import DecompositionShape, mdec_codim_fixedpart
 from moduli_strata.verify import run_check
+from partition_helpers import intersection_matrix, relabel
 
 MAX_PRODUCT_EXPECTED = {2: 6, 3: 17, 4: 32, 5: 51, 6: 74, 7: 101, 8: 132}
 
@@ -134,7 +135,7 @@ def test_c04_unitary_minimum_actual_behavior():
 def test_c05_translate_margin():
     worst = {}
     for g in range(2, 8):
-        codims = [gamma_gamma_codim(lam.block_sizes) for lam in enumerate_proper_partitions(g)]
+        codims = [gamma_gamma_codim(block_sizes(lam)) for lam in enumerate_proper_partitions(g)]
         worst[g] = min(codims)
     ok = all(v >= 4 for v in worst.values()) and worst[2] == 4
     report(5, "translate codimension >= 4 for every proper partition, g=2..7", ok,
@@ -232,8 +233,8 @@ def test_c10_partition_lattice_properties():
             laws_ok &= m == meet(b, a)
             laws_ok &= meet(a, a) == a
             mat = intersection_matrix(a, b)
-            laws_ok &= sorted(mat.row_sums) == sorted(a.block_sizes)
-            laws_ok &= sorted(mat.col_sums) == sorted(b.block_sizes)
+            laws_ok &= sorted(mat.row_sums) == sorted(block_sizes(a))
+            laws_ok &= sorted(mat.col_sums) == sorted(block_sizes(b))
             laws_ok &= mat.total == 4
     rng = random.Random(1906)
     triples = [(rng.choice(parts4), rng.choice(parts4), rng.choice(parts4)) for _ in range(300)]
@@ -246,7 +247,7 @@ def test_c10_partition_lattice_properties():
             a, b = rng.choice(parts), rng.choice(parts)
             perm = list(range(1, g + 1))
             rng.shuffle(perm)
-            relabel_ok &= intersection_matrix(a.relabel(perm), b.relabel(perm)) == intersection_matrix(a, b)
+            relabel_ok &= intersection_matrix(relabel(a, perm), relabel(b, perm)) == intersection_matrix(a, b)
 
     ok = bell_ok and laws_ok and relabel_ok
     report(10, "partition lattice: meet laws, margins, Bell counts, relabeling", ok)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_strata import planner, strata, verify
+from moduli_strata import hecke_groups, planner, strata, verify
 from moduli_strata.cli import build_parser, run
 from moduli_strata.errors import GroundTooSmall
 from moduli_strata.moduli import BoundaryCodim
@@ -54,6 +54,18 @@ MEMOIZED_ROUTE_STDOUT_SHA256 = {
     "strata --fixed 1,4 --varying 3,5 --json": "0a455621fcce8dd1e29a504b2f8f92d5ae36ee3d5671fe765579af61e6a33a91",
     "strata --fixed 1,4 --varying 3,5 --witness-all --json":
         "a101bc377f03469908a1810364d38cfe66da3d1486b694890caad12831be3492",
+}
+
+#: sha256 of the exact stdout of calls that reach the pair sweep, the
+#: insertion check or the g > 8 witness, recorded while partitions were
+#: still a validated block class and the witness was reconstructed from
+#: the completion search.
+PARTITION_ROUTE_STDOUT_SHA256 = {
+    "gamma --g 10 --json": "2f435e0286804e2554774114e025d1b0e6e6d34d124248cc0638dde58c57ca20",
+    "gamma --g 10 --witness-all --json": "d3949e899e0a928b82181095af7143cb8cf12ffc020cae1eb674771b431a8c13",
+    "verify C5.3-increment --g-max 7 --json": "7cd9fc5df8d73b5574cf839503bc8d23cb2cb32e6a6d37aa27f959dbb109abd2",
+    "verify C5.6 --g-max 6 --json": "68ba09ee00a3b0751924c725bd53ae3bd4adc5d7b0c133968636bbbf1097f6d5",
+    "verify L5.5 --g-max 7 --json": "908982022f7af1c5d7cacf7fe08e326e1cb3ab4215cb0c750533614734b4a2d5",
 }
 
 
@@ -163,6 +175,21 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == MEMOIZED_ROUTE_STDOUT_SHA256[argv]
+
+    @pytest.mark.parametrize("argv", PARTITION_ROUTE_STDOUT_SHA256, ids=str)
+    def test_partition_route_bytes(self, capsys, argv):
+        code, out, _ = invoke(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PARTITION_ROUTE_STDOUT_SHA256[argv]
+
+    def test_two_block_witness_certificate(self, capsys, monkeypatch):
+        # one less search codimension lifts the search maximum above what
+        # the two-block witness attains, so the certificate must fail
+        search = hecke_groups.gamma_gamma_codim_by_search
+        monkeypatch.setattr(hecke_groups, "gamma_gamma_codim_by_search", lambda sizes: search(sizes) - 1)
+        code, out, err = invoke(capsys, ["gamma", "--g", "9", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
 
     def test_verify_disagreement_path(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "L3.3", "--json"])

@@ -5,11 +5,12 @@ of ``__all__``, so a stale entry breaks traced runs.
 """
 
 import moduli_strata
-from moduli_strata import hecke_groups, moduli, strata
+from moduli_strata import hecke_groups, moduli, partitions, strata
 
-#: Removed when their formulas got a single home; they must not come back.
+#: Removed when their formulas got a single home, or when partitions became
+#: block-id tuples; they must not come back.
 DELETED = ("Siegel", "UnitarySpace", "ModuliSpace", "boundary_codim", "sp_total_dim", "strata_of_product",
-           "mdec_codim_product")
+           "mdec_codim_product", "SetPartition", "partition_from_rgs", "realize_matrix", "intersection_matrix")
 
 
 def test_no_duplicates():
@@ -23,5 +24,5 @@ def test_every_entry_resolves():
 
 def test_deleted_names_are_gone():
     assert not set(DELETED) & set(moduli_strata.__all__)
-    for module in (moduli_strata, moduli, hecke_groups, strata):
+    for module in (moduli_strata, moduli, hecke_groups, partitions, strata):
         assert not [name for name in DELETED if hasattr(module, name)]

@@ -18,61 +18,50 @@ from moduli_strata.hecke_groups import (
 )
 from moduli_strata.moduli import GroupExpr, SpAtom, sp_dim
 from moduli_strata.partitions import (
-    SetPartition,
+    IntersectionMatrix,
+    block_sizes,
     enumerate_proper_partitions,
     integer_partitions,
-    intersection_matrix,
-    partition_from_rgs,
+    iter_all_partitions,
+    meet,
 )
-
-
-def blocks(*bs):
-    return SetPartition.from_blocks(bs)
+from partition_helpers import blocks, canonical, intersection_matrix
 
 
 @st.composite
 def partition_pairs(draw, max_g=6):
     g = draw(st.integers(2, max_g))
-    a = partition_from_rgs([draw(st.integers(0, g - 1)) for _ in range(g)])
-    b = partition_from_rgs([draw(st.integers(0, g - 1)) for _ in range(g)])
+    a = canonical([draw(st.integers(0, g - 1)) for _ in range(g)])
+    b = canonical([draw(st.integers(0, g - 1)) for _ in range(g)])
     return a, b
 
 
 class TestGammaDim:
     def test_examples(self):
-        assert gamma_dim(blocks([1], [2], [3], [4], [5])) == 15
-        assert gamma_dim(blocks([1, 2], [3])) == 13
-        assert gamma_dim(blocks([1, 2, 3])) == 21
+        assert gamma_dim(block_sizes(blocks([1], [2], [3], [4], [5]))) == 15
+        assert gamma_dim(block_sizes(blocks([1, 2], [3]))) == 13
+        assert gamma_dim(block_sizes(blocks([1, 2, 3]))) == 21
 
     def test_subgroup_structure(self):
-        part = blocks([1, 2], [3], [4])
-        group = GroupExpr.of(SpAtom(l) for l in part.block_sizes)
+        sizes = block_sizes(blocks([1, 2], [3], [4]))
+        group = GroupExpr.of(SpAtom(l) for l in sizes)
         assert group.label == "Sp(2) x Sp(2) x Sp(4)"
-        assert group.dim == 3 + 3 + 10 == gamma_dim(part)
+        assert group.dim == 3 + 3 + 10 == gamma_dim(sizes)
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_insertion_increment(self, g):
         # growing a block of size l adds exactly 4l + 3
-        from moduli_strata.partitions import iter_all_partitions
-
         for part in iter_all_partitions(g):
-            base = gamma_dim(part)
-            for idx in range(part.num_blocks + 1):
-                grown = [list(b) for b in part.blocks]
-                if idx < part.num_blocks:
-                    l = len(grown[idx])
-                    grown[idx].append(g + 1)
-                else:
-                    l = 0
-                    grown.append([g + 1])
-                assert gamma_dim(SetPartition.from_blocks(grown, g + 1)) == base + 4 * l + 3
+            sizes = block_sizes(part)
+            for idx, l in enumerate(sizes + (0,)):
+                assert gamma_dim(block_sizes(part + (idx,))) == gamma_dim(sizes) + 4 * l + 3
 
 
 class TestProductDim:
     def test_examples(self):
         assert product_dim(blocks([1, 2], [3]), blocks([1], [2, 3])) == 17
         lam = blocks([1, 4], [2, 3])
-        assert product_dim(lam, lam) == gamma_dim(lam)
+        assert product_dim(lam, lam) == gamma_dim(block_sizes(lam))
         g2 = blocks([1], [2])
         assert product_dim(g2, g2) == 6
 
@@ -102,13 +91,12 @@ class TestProductDim:
     @given(partition_pairs())
     @settings(max_examples=100, derandomize=True)
     def test_lower_bound_and_refinement_equality(self, pair):
-        from moduli_strata.partitions import meet
-
         a, b = pair
         value = product_dim(a, b)
-        assert value >= max(gamma_dim(a), gamma_dim(b))
+        larger = max(gamma_dim(block_sizes(a)), gamma_dim(block_sizes(b)))
+        assert value >= larger
         refines = meet(a, b) in (a, b)
-        assert (value == max(gamma_dim(a), gamma_dim(b))) == refines
+        assert (value == larger) == refines
 
 
 class TestMaxProductDim:
@@ -132,7 +120,7 @@ class TestMaxProductDim:
         unreduced = max(product_dim(a, b) for a in parts for b in parts)
         value, (lam, mu) = max_product_dim_by_pairs(g)
         assert value == unreduced
-        assert lam.is_proper and mu.is_proper
+        assert any(lam) and any(mu)
         assert product_dim(lam, mu) == value
 
     @pytest.mark.parametrize("g", range(2, 9))
@@ -143,12 +131,10 @@ class TestMaxProductDim:
         # the scaling route used beyond the exhaustive limit agrees with
         # full matrix-type enumeration wherever both run
         from moduli_strata.hecke_groups import _best_against
-        from moduli_strata.moduli import sp_dim
-        from moduli_strata.partitions import integer_partitions
 
         for g in range(2, 9):
             dp = max(
-                sum(sp_dim(l) for l in sizes) + _best_against(sizes)
+                gamma_dim(sizes) + _best_against(sizes)
                 for sizes in integer_partitions(g)
                 if len(sizes) >= 2
             )
@@ -157,7 +143,14 @@ class TestMaxProductDim:
     def test_large_ground_uses_completion_route(self):
         r = max_product_dim(10)
         assert r.value == sp_dim(10) - 4
-        assert r.witness.total == 10
+        assert r.witness == IntersectionMatrix(((8, 1), (1, 0)))
+        assert product_dim_from_matrix(r.witness) == r.value
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_two_block_type_is_the_only_maximizer(self, g):
+        # why the two-block matrix is the witness beyond the exhaustive limit
+        r = max_product_dim(g, collect_all=True)
+        assert r.all_witnesses == (IntersectionMatrix(((g - 2, 1), (1, 0))),)
 
     def test_collect_all_lists_every_maximizer(self):
         r = max_product_dim(4, collect_all=True)
@@ -184,10 +177,10 @@ class TestTranslateMargin:
         # sweeps against the consecutive layout of each size class
         parts = enumerate_proper_partitions(g)
         for lam in parts:
-            sizes = lam.block_sizes
+            sizes = block_sizes(lam)
             direct = sp_dim(g) - max(product_dim(mu, lam) for mu in parts)
             assert gamma_gamma_codim(sizes) == gamma_gamma_codim_by_search(sizes) == direct
-        for sizes in {tuple(sorted(lam.block_sizes)) for lam in parts}:
+        for sizes in {tuple(sorted(block_sizes(lam))) for lam in parts}:
             assert gamma_gamma_codim_by_pairs(sizes) == gamma_gamma_codim(sizes)
 
     def test_closed_form_matches_search_on_every_class(self):
@@ -199,12 +192,12 @@ class TestTranslateMargin:
     @pytest.mark.parametrize("g", range(2, 8))
     def test_margin_at_least_four(self, g):
         for lam in enumerate_proper_partitions(g):
-            assert gamma_gamma_codim(lam.block_sizes) >= 4
+            assert gamma_gamma_codim(block_sizes(lam)) >= 4
 
     def test_depends_only_on_block_sizes(self):
         a = blocks([1, 2], [3], [4])
         b = blocks([1], [2, 4], [3])
-        assert gamma_gamma_codim(a.block_sizes) == gamma_gamma_codim(b.block_sizes)
+        assert gamma_gamma_codim(block_sizes(a)) == gamma_gamma_codim(block_sizes(b))
 
     def test_rejects_improper_sizes(self):
         with pytest.raises(GroundTooSmall):

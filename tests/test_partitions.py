@@ -10,23 +10,18 @@ from hypothesis import strategies as st
 from moduli_strata.errors import GroundMismatch, GroundTooSmall
 from moduli_strata.partitions import (
     IntersectionMatrix,
-    SetPartition,
     bell_number,
+    block_sizes,
     canonical_entries,
     enumerate_matrix_types,
     enumerate_proper_partitions,
     integer_partitions,
-    intersection_matrix,
+    iter_all_partitions,
     meet,
-    partition_from_rgs,
-    realize_matrix,
 )
+from partition_helpers import blocks, blocks_of, canonical, intersection_matrix, realize, relabel
 
 BELL = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
-
-
-def blocks(*bs):
-    return SetPartition.from_blocks(bs)
 
 
 @st.composite
@@ -35,29 +30,29 @@ def partition_pairs(draw, max_g=6, count=2):
     parts = []
     for _ in range(count):
         labels = [draw(st.integers(0, g - 1)) for _ in range(g)]
-        parts.append(partition_from_rgs(labels))
+        parts.append(canonical(labels))
     return (g, *parts)
 
 
 class TestSetPartition:
     def test_canonical_block_order(self):
-        p = SetPartition.from_blocks([[3], [2, 1]], 3)
-        assert p.blocks == ((1, 2), (3,))
+        # blocks are numbered by least element, whatever the input labels
+        assert blocks([3], [2, 1]) == (0, 0, 1)
+        assert meet((2, 2, 0), (5, 5, 5)) == (0, 0, 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SetPartition(3, ((1, 2),))  # not covering
-        with pytest.raises(ValueError):
-            SetPartition(3, ((1, 2), (2, 3)))  # overlap
-        with pytest.raises(ValueError):
-            SetPartition(3, ((1, 2, 3), ()))  # empty block
-        with pytest.raises(ValueError):
-            SetPartition(2, ((1, 2, 3),))  # out of range
+        # every enumerated tuple is a restricted growth string
+        for g in range(1, 8):
+            for p in iter_all_partitions(g):
+                assert len(p) == g and p[0] == 0
+                assert all(p[i] <= max(p[:i]) + 1 for i in range(1, g))
+        with pytest.raises(GroundTooSmall):
+            next(iter_all_partitions(0))
 
     def test_relabel(self):
         p = blocks([1, 2], [3])
-        q = p.relabel([3, 1, 2])  # 1->3, 2->1, 3->2
-        assert q.blocks == ((1, 3), (2,))
+        q = relabel(p, [3, 1, 2])  # 1->3, 2->1, 3->2
+        assert q == blocks([1, 3], [2])
 
 
 class TestEnumeration:
@@ -114,16 +109,15 @@ class TestMeet:
     @settings(max_examples=80, derandomize=True)
     def test_refinement_block_count(self, data):
         _, a, b = data
-        assert meet(a, b).num_blocks >= max(a.num_blocks, b.num_blocks)
+        assert len(block_sizes(meet(a, b))) >= max(len(block_sizes(a)), len(block_sizes(b)))
 
     @given(partition_pairs())
     @settings(max_examples=80, derandomize=True)
     def test_meet_refines_both(self, data):
         _, a, b = data
-        for block in meet(a, b).blocks:
-            bs = set(block)
-            assert any(bs <= set(x) for x in a.blocks)
-            assert any(bs <= set(x) for x in b.blocks)
+        for block in blocks_of(meet(a, b)):
+            assert any(block <= x for x in blocks_of(a))
+            assert any(block <= x for x in blocks_of(b))
 
 
 class TestIntersectionMatrix:
@@ -139,15 +133,15 @@ class TestIntersectionMatrix:
         m = intersection_matrix(p, p)
         positive = sorted(e for row in m.entries for e in row if e)
         assert positive == [1, 2, 3]
-        assert sum(1 for row in m.entries for e in row if e) == p.num_blocks
+        assert sum(1 for row in m.entries for e in row if e) == len(block_sizes(p))
 
     @given(partition_pairs())
     @settings(max_examples=100, derandomize=True)
     def test_margins_are_block_sizes(self, data):
         g, a, b = data
         m = intersection_matrix(a, b)
-        assert sorted(m.row_sums) == sorted(a.block_sizes)
-        assert sorted(m.col_sums) == sorted(b.block_sizes)
+        assert sorted(m.row_sums) == sorted(block_sizes(a))
+        assert sorted(m.col_sums) == sorted(block_sizes(b))
         assert m.total == g
 
     @given(partition_pairs(), st.randoms(use_true_random=False))
@@ -156,7 +150,7 @@ class TestIntersectionMatrix:
         g, a, b = data
         perm = list(range(1, g + 1))
         rng.shuffle(perm)
-        assert intersection_matrix(a, b) == intersection_matrix(a.relabel(perm), b.relabel(perm))
+        assert intersection_matrix(a, b) == intersection_matrix(relabel(a, perm), relabel(b, perm))
 
     def test_rejects_zero_rows_and_columns(self):
         with pytest.raises(ValueError):
@@ -214,7 +208,7 @@ class TestCanonicalForm:
                 base = intersection_matrix(a, b)
                 perm = list(range(1, g + 1))
                 rng.shuffle(perm)
-                assert intersection_matrix(a.relabel(perm), b.relabel(perm)) == base
+                assert intersection_matrix(relabel(a, perm), relabel(b, perm)) == base
 
     @given(st.data())
     @settings(max_examples=150, derandomize=True)
@@ -273,7 +267,7 @@ class TestMatrixTypes:
         # type; the unreduced sweep above checks that invariance for g <= 6.
         types = set(enumerate_matrix_types(7))
         firsts = [
-            SetPartition.from_blocks(range(end - l + 1, end + 1) for l, end in zip(sizes, itertools.accumulate(sizes)))
+            blocks(*(range(end - l + 1, end + 1) for l, end in zip(sizes, itertools.accumulate(sizes))))
             for sizes in integer_partitions(7)
             if len(sizes) > 1
         ]
@@ -288,9 +282,9 @@ class TestMatrixTypes:
     @pytest.mark.parametrize("g", range(2, 7))
     def test_every_type_is_realized(self, g):
         for t in enumerate_matrix_types(g):
-            lam, mu = realize_matrix(t)
+            lam, mu = realize(t)
             assert intersection_matrix(lam, mu) == t
-            assert lam.is_proper and mu.is_proper
+            assert any(lam) and any(mu)
 
     def test_ground_too_small(self):
         with pytest.raises(GroundTooSmall):
