@@ -9,9 +9,11 @@ product of two such subgroups has dimension
 where ^ is the common refinement: the pairwise intersection of the two
 subgroups is block-diagonal on the refinement.  Partitions are block-id
 tuples (see ``partitions``); the pair sweep is the one place that formula
-is evaluated on them.  The same number can be read off the intersection
-matrix alone: row sums, column sums and nonzero entries contribute with
-the l(2l+1) weight.
+is evaluated on them.  It sums dim(lam ^ mu) block by block of lam: the
+weight of mu's block ids on one block of lam, memoized on those ids, so
+each distinct restriction is weighed once per sweep.  The same number can
+be read off the intersection matrix alone: row sums, column sums and
+nonzero entries contribute with the l(2l+1) weight.
 
 Two maximizers over all proper pairs are provided: exhaustive enumeration
 of canonical intersection-matrix types (complete for ground sizes up to 8)
@@ -29,9 +31,9 @@ completion search serves only ``max_product_dim`` for g > 8 and C5.6.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import Disagreement, GroundMismatch, GroundTooSmall, NotProper
@@ -51,22 +53,31 @@ def gamma_dim(sizes: Iterable[int]) -> int:
     return sum(map(sp_dim, sizes))
 
 
-def _meet_dim(lam: Partition, mu: Partition) -> int:
-    """dim(lam ^ mu): the blocks of the common refinement are the cells of the pair."""
-    return sum(map(sp_dim, Counter(zip(lam, mu)).values()))
-
-
 def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tuple[Partition, Partition]]:
     """Largest product dimension over lams x mus, with the first pair attaining it.
 
     Each partition's own dimension is computed once, not once per pair.
+    dim(lam ^ mu) is summed over lam's blocks: the cells inside one block
+    are mu's blocks restricted to it, so each block adds the weight of mu's
+    block ids there, memoized on those ids for the whole sweep.
     """
     weighted = [(mu, gamma_dim(block_sizes(mu))) for mu in mus]
+    block_weight: dict[int | tuple[int, ...], int] = {}
     best, best_pair = -1, ((), ())
     for lam in lams:
         dim_a = gamma_dim(block_sizes(lam))
+        readers = [itemgetter(*[i for i, b in enumerate(lam) if b == k]) for k in range(max(lam) + 1)]
         for mu, dim_b in weighted:
-            value = dim_a + dim_b - _meet_dim(lam, mu)
+            meet_dim = 0
+            for read in readers:
+                ids = read(mu)
+                weight = block_weight.get(ids)
+                if weight is None:
+                    # itemgetter of one position returns the bare id, not a 1-tuple
+                    sizes = map(ids.count, set(ids)) if type(ids) is tuple else (1,)
+                    weight = block_weight[ids] = gamma_dim(sizes)
+                meet_dim += weight
+            value = dim_a + dim_b - meet_dim
             if value > best:
                 best, best_pair = value, (lam, mu)
     return best, best_pair

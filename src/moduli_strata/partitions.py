@@ -5,15 +5,17 @@ element i, blocks numbered 0, 1, ... by first appearance (the restricted
 growth string), so equality is structural and no other form is stored.
 Pairs of partitions are summarized by their block-intersection matrix,
 reduced to a canonical representative under row and column permutations;
-the matrix-type maximum downstream factors through that matrix.
+the matrix-type maximum downstream factors through that matrix.  The
+representative is built row by row, pruning partial forms that are not
+least and merging equivalent states (the prefix pruning and refinement of
+McKay & Piperno, "Practical graph isomorphism II", 2014), so the row
+orders of a group of equal row sums are never enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import GroundMismatch, GroundTooSmall
@@ -79,26 +81,6 @@ def meet(lam: Partition, mu: Partition) -> Partition:
     return tuple(cells.setdefault(cell, len(cells)) for cell in zip(lam, mu))
 
 
-def _group_indices(sums: Sequence[int]) -> list[list[int]]:
-    """Indices grouped by value, groups ordered by descending value."""
-    by_value: dict[int, list[int]] = {}
-    for i, s in enumerate(sums):
-        by_value.setdefault(s, []).append(i)
-    return [by_value[v] for v in sorted(by_value, reverse=True)]
-
-
-def _group_cost(groups: list[list[int]]) -> int:
-    cost = 1
-    for grp in groups:
-        cost *= factorial(len(grp))
-    return cost
-
-
-def _orders(groups: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
-        yield tuple(itertools.chain.from_iterable(combo))
-
-
 @lru_cache(maxsize=None)
 def canonical_entries(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Canonical representative of a matrix under row and column permutations.
@@ -108,36 +90,46 @@ def canonical_entries(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
     that, the row-major flattening is lexicographically minimal.  This is a
     complete invariant: two matrices agree here iff one is obtained from
     the other by permuting rows and columns.
-    """
-    row_sums = [sum(r) for r in entries]
-    col_sums = [sum(c) for c in zip(*entries)]
-    row_groups = _group_indices(row_sums)
-    col_groups = _group_indices(col_sums)
 
-    best: tuple[tuple[int, ...], ...] | None = None
-    if _group_cost(row_groups) <= _group_cost(col_groups):
-        # Enumerate row arrangements; columns then sort greedily per group.
-        for row_order in _orders(row_groups):
-            rows = [entries[i] for i in row_order]
-            cols = list(zip(*rows))
-            arranged_cols: list[tuple[int, ...]] = []
-            for grp in col_groups:
-                arranged_cols.extend(sorted(cols[j] for j in grp))
-            candidate = tuple(zip(*arranged_cols))
-            if best is None or candidate < best:
-                best = candidate
-    else:
-        for col_order in _orders(col_groups):
-            cols = [tuple(r[j] for r in entries) for j in col_order]
-            rows = list(zip(*cols))
-            arranged_rows: list[tuple[int, ...]] = []
-            for grp in row_groups:
-                arranged_rows.extend(sorted(rows[i] for i in grp))
-            candidate = tuple(arranged_rows)
-            if best is None or candidate < best:
-                best = candidate
-    assert best is not None
-    return best
+    Rows are placed one at a time, largest sum first.  Columns are kept in
+    cells: runs of equal sum whose entries agree in every placed row.  The
+    final form sorts the columns of each sum group lexicographically, so
+    once k rows are placed its first k rows are fixed: sorting a candidate
+    row inside each cell gives row k + 1, and only candidates whose sorted
+    row is least survive; equal candidate rows are tried once.  A state is
+    the multiset of rows still to place, its columns in cell order.  Every
+    later step reads a state only through that multiset and the cells,
+    which all survivors share, so states with equal multisets have the same
+    best completion and are merged.
+    """
+    cols = sorted(zip(*entries), key=lambda c: -sum(c))
+    # a column's cell key, kept sorted: minus its sum, then its entries in the placed rows
+    keys: list[tuple[int, ...]] = [(-sum(c),) for c in cols]
+    states = {tuple(sorted(zip(*cols)))}
+    form = []
+    for target in sorted(map(sum, entries), reverse=True):
+        if len(set(keys)) == len(keys):
+            # every column is its own cell, so each state's rows are placed as they are
+            form.extend(min(sorted(rest, key=lambda r: (-sum(r), r)) for rest in states))
+            break
+        best: tuple[int, ...] | None = None
+        survivors: set[tuple[tuple[int, ...], ...]] = set()
+        for rest in states:
+            for i, row in enumerate(rest):
+                if sum(row) != target or (i and row == rest[i - 1]):
+                    continue
+                arranged = sorted(zip(keys, row, range(len(row))))
+                placed = tuple(v for _, v, _ in arranged)
+                if best is None or placed < best:
+                    best, survivors = placed, set()
+                if placed == best:
+                    perm = [j for _, _, j in arranged]
+                    survivors.add(tuple(sorted(tuple(r[j] for j in perm) for r in rest[:i] + rest[i + 1 :])))
+        assert best is not None
+        form.append(best)
+        keys = [k + (v,) for k, v in zip(keys, best)]
+        states = survivors
+    return tuple(form)
 
 
 @dataclass(frozen=True)

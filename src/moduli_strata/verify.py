@@ -15,7 +15,6 @@ from typing import Callable
 
 from .errors import GroundTooSmall
 from .hecke_groups import (
-    EXHAUSTIVE_LIMIT,
     gamma_dim,
     gamma_gamma_codim,
     gamma_gamma_codim_by_pairs,
@@ -222,12 +221,16 @@ def run_gamma_increment(g_max: int = 6) -> VerificationRun:
     return run
 
 
+#: Largest ground size at which L5.5 also runs the direct pair sweep.
+PAIR_SWEEP_LIMIT = 9
+
+
 def run_max_product(g_max: int = 8) -> VerificationRun:
     """Maximum product dimension equals 2g^2 + g - 4.
 
-    Canonical matrix types are exhausted up to EXHAUSTIVE_LIMIT and the
-    completion search runs above it; up to EXHAUSTIVE_LIMIT the value is
-    also recomputed by the direct pair sweep, whose note counts the
+    Canonical matrix types are exhausted up to g = 8 and the completion
+    search runs above it; up to PAIR_SWEEP_LIMIT the value is also
+    recomputed by the direct pair sweep, whose note counts the
     (Bell(g) - 1)^2 pairs it covers by relabelling invariance, and the
     two-block witness family is checked to attain the maximum.
     """
@@ -237,7 +240,7 @@ def run_max_product(g_max: int = 8) -> VerificationRun:
         expected = sp_dim(g) - 4
         agree = result.value == expected
         notes = []
-        if g <= EXHAUSTIVE_LIMIT:
+        if g <= PAIR_SWEEP_LIMIT:
             pair_value = max_product_dim_by_pairs(g)[0]
             agree = agree and pair_value == result.value
             notes.append(f"pair sweep over {(bell_number(g) - 1) ** 2} pairs gives {pair_value}")

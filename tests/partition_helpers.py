@@ -3,8 +3,13 @@
 The library stores a partition of {1, ..., g} only as its block-id tuple
 (restricted growth string).  The tests also build partitions from explicit
 blocks, relabel the ground set, and compare pairs by their intersection
-matrix; those views live here because no command needs them.
+matrix; those views live here because no command needs them.  So does the
+row-order enumeration that ``canonical_entries`` replaced, kept as its
+reference.
 """
+
+import itertools
+from math import factorial
 
 from moduli_strata.errors import GroundMismatch
 from moduli_strata.partitions import IntersectionMatrix
@@ -56,3 +61,54 @@ def realize(matrix):
     """
     cells = [(j, k) for j, row in enumerate(matrix.entries) for k, count in enumerate(row) for _ in range(count)]
     return canonical(j for j, _ in cells), canonical(k for _, k in cells)
+
+
+def _group_indices(sums):
+    """Indices grouped by value, groups ordered by descending value."""
+    by_value = {}
+    for i, s in enumerate(sums):
+        by_value.setdefault(s, []).append(i)
+    return [by_value[v] for v in sorted(by_value, reverse=True)]
+
+
+def _group_cost(groups):
+    cost = 1
+    for grp in groups:
+        cost *= factorial(len(grp))
+    return cost
+
+
+def _orders(groups):
+    for combo in itertools.product(*(itertools.permutations(grp) for grp in groups)):
+        yield tuple(itertools.chain.from_iterable(combo))
+
+
+def canonical_entries_by_orders(entries):
+    """Reference for ``canonical_entries``: try every order of the cheaper side.
+
+    Every arrangement of the rows inside their sum groups is tried, the
+    columns then sorted greedily inside theirs (or the other way round when
+    the columns have fewer orders), and the least result kept.
+    """
+    row_groups = _group_indices([sum(r) for r in entries])
+    col_groups = _group_indices([sum(c) for c in zip(*entries)])
+    best = None
+    if _group_cost(row_groups) <= _group_cost(col_groups):
+        for row_order in _orders(row_groups):
+            cols = list(zip(*(entries[i] for i in row_order)))
+            arranged_cols = []
+            for grp in col_groups:
+                arranged_cols.extend(sorted(cols[j] for j in grp))
+            candidate = tuple(zip(*arranged_cols))
+            if best is None or candidate < best:
+                best = candidate
+    else:
+        for col_order in _orders(col_groups):
+            rows = list(zip(*(tuple(r[j] for r in entries) for j in col_order)))
+            arranged_rows = []
+            for grp in row_groups:
+                arranged_rows.extend(sorted(rows[i] for i in grp))
+            candidate = tuple(arranged_rows)
+            if best is None or candidate < best:
+                best = candidate
+    return best

@@ -38,7 +38,7 @@ from moduli_strata.strata import DecompositionShape, mdec_codim_fixedpart
 from moduli_strata.verify import run_check
 from partition_helpers import intersection_matrix, relabel
 
-MAX_PRODUCT_EXPECTED = {2: 6, 3: 17, 4: 32, 5: 51, 6: 74, 7: 101, 8: 132}
+MAX_PRODUCT_EXPECTED = {2: 6, 3: 17, 4: 32, 5: 51, 6: 74, 7: 101, 8: 132, 9: 167}
 
 
 def report(number, name, ok, detail=""):
@@ -49,7 +49,7 @@ def report(number, name, ok, detail=""):
 
 def test_c01_max_product_dimension():
     start = time.perf_counter()
-    outcome = run_check("L5.5", 8)
+    outcome = run_check("L5.5", 9)
     elapsed = time.perf_counter() - start
     values = {c.input["g"]: c.computed for c in outcome.cases}
     ok = (
@@ -58,9 +58,9 @@ def test_c01_max_product_dimension():
         and all(c.witness for c in outcome.cases)
         and elapsed < 60.0
     )
-    report(1, "max product dimension 2g^2+g-4, g=2..8", ok, f"{elapsed:.1f}s")
+    report(1, "max product dimension 2g^2+g-4, g=2..9", ok, f"{elapsed:.1f}s")
     assert values == MAX_PRODUCT_EXPECTED
-    assert not outcome.disagreements  # includes pair-sweep agreement for g <= 8
+    assert not outcome.disagreements  # includes pair-sweep agreement for g <= 9
     assert all("pair sweep over" in c.note for c in outcome.cases)
     assert elapsed < 60.0
 

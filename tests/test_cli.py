@@ -66,6 +66,10 @@ PARTITION_ROUTE_STDOUT_SHA256 = {
     "verify C5.3-increment --g-max 7 --json": "7cd9fc5df8d73b5574cf839503bc8d23cb2cb32e6a6d37aa27f959dbb109abd2",
     "verify C5.6 --g-max 6 --json": "68ba09ee00a3b0751924c725bd53ae3bd4adc5d7b0c133968636bbbf1097f6d5",
     "verify L5.5 --g-max 7 --json": "908982022f7af1c5d7cacf7fe08e326e1cb3ab4215cb0c750533614734b4a2d5",
+    # recorded while canonical forms still tried every row order
+    "gamma --g 8 --json": "18364ffb8c489fc05cb82c0d7b5b8f40169da643e166241dd827a7b16d81b301",
+    "gamma --g 8 --witness-all --json": "beacb2e109fa2f9496ea2bb4e22690e0865fe76a698633d7992518802c5fd2fa",
+    "verify L5.5 --g-max 8 --json": "5e8dbe80264a37f527e26dad1b681a9711810565dbcec6ad22d2e810d5f1da7d",
 }
 
 

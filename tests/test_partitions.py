@@ -18,8 +18,17 @@ from moduli_strata.partitions import (
     integer_partitions,
     iter_all_partitions,
     meet,
+    _tables,
 )
-from partition_helpers import blocks, blocks_of, canonical, intersection_matrix, realize, relabel
+from partition_helpers import (
+    blocks,
+    blocks_of,
+    canonical,
+    canonical_entries_by_orders,
+    intersection_matrix,
+    realize,
+    relabel,
+)
 
 BELL = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -198,6 +207,29 @@ class TestCanonicalForm:
     )
     def test_matches_brute_force(self, entries):
         assert canonical_entries(entries) == self.exhaustive_orbit_min(entries)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_matches_row_order_reference_on_every_table(self, g):
+        # every table of every margin pair at ground size g, and one seeded
+        # row and column shuffle of each, against the enumeration of all
+        # row orders; the shuffle has the table's reference form
+        rng = random.Random(g)
+        margins = [p for p in integer_partitions(g) if len(p) >= 2]
+        for row_sums, col_sums in itertools.product(margins, repeat=2):
+            for table in _tables(row_sums, col_sums):
+                rows = list(table)
+                cols = list(range(len(col_sums)))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                shuffled = tuple(tuple(row[j] for j in cols) for row in rows)
+                expected = canonical_entries_by_orders(table)
+                assert canonical_entries(table) == expected
+                assert canonical_entries(shuffled) == expected
+
+    def test_permutation_matrix_of_twelve(self):
+        # one group of 12 equal rows: trying its 12! row orders would not finish
+        identity = tuple(tuple(int(i == j) for j in range(12)) for i in range(12))
+        assert canonical_entries(identity) == identity[::-1]
 
     def test_thousand_random_relabelings_per_ground(self):
         rng = random.Random(20250809)
