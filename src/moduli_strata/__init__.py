@@ -68,7 +68,6 @@ from .strata import (
     Stratum,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
-    mdec_codim_unitary_fixedpart,
     strata_of_shape,
     strata_of_unitary,
 )
@@ -87,7 +86,7 @@ __all__ = [
     "unitary_boundary_codim", "torelli_codim",
     # strata
     "Stratum", "DecompositionShape", "MinCodim", "strata_of_shape", "strata_of_unitary",
-    "mdec_codim_fixedpart", "mdec_codim_unitary", "mdec_codim_unitary_fixedpart",
+    "mdec_codim_fixedpart", "mdec_codim_unitary",
     # hecke groups
     "MaxProductDim", "gamma_dim", "product_dim", "product_dim_from_matrix",
     "max_product_dim", "max_product_dim_by_pairs", "gamma_gamma_codim",

@@ -258,7 +258,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
         # --fixed is echoed in the order given
         inputs = {"flavor": "symplectic", "fixed_dims": list(args.fixed), "varying_dims": list(shape.varying_dims)}
     result = {
-        "ambient_dim": strata[0].ambient_dim if strata else 0,
+        "ambient_dim": strata[0].ambient_dim,
         "count": len(strata),
         "strata": [s.to_dict() for s in strata],
         "min_codim": minimum.codim,
@@ -277,7 +277,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     g = args.g
     if g < 2:
         raise UsageError("gamma needs --g >= 2")
-    maximum = max_product_dim(g, collect_all=args.witness_all)
+    maximum = max_product_dim(g)
     classes = []
     for sizes in integer_partitions(g):
         if len(sizes) < 2:

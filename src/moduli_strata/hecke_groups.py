@@ -100,28 +100,25 @@ def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
 class MaxProductDim:
     """Maximum product dimension with a canonical witness matrix."""
 
-    ground_size: int
     value: int
     witness: IntersectionMatrix
-    all_witnesses: tuple[IntersectionMatrix, ...] = ()
+    all_witnesses: tuple[IntersectionMatrix, ...]
 
 
 #: Largest ground size for which every canonical matrix type is enumerated.
 EXHAUSTIVE_LIMIT = 8
 
 
-def max_product_dim(g: int, collect_all: bool = False) -> MaxProductDim:
+def max_product_dim(g: int) -> MaxProductDim:
     """Maximize the product dimension over all proper partition pairs.
 
-    Ground sizes up to EXHAUSTIVE_LIMIT are done by exhausting canonical
-    matrix types, ties broken by canonical matrix order.  Larger ones take
-    the value of the memoized completion search and the two-block witness
-    ((g-2, 1), (1, 0)), the only maximizer type wherever types are
-    exhausted; a witness that does not attain the search value raises
-    ``Disagreement``.
+    Ground sizes up to EXHAUSTIVE_LIMIT exhaust canonical matrix types, which
+    come in canonical order: every tie is kept and the first is the witness.
+    Larger ones take the value of the memoized completion search and the
+    two-block witness ((g-2, 1), (1, 0)), the only maximizer type wherever
+    types are exhausted; a witness that does not attain the search value
+    raises ``Disagreement``.
     """
-    if g < 2:
-        raise GroundTooSmall(f"need g >= 2, got {g}")
     if g <= EXHAUSTIVE_LIMIT:
         best = -1
         winners: list[IntersectionMatrix] = []
@@ -129,16 +126,15 @@ def max_product_dim(g: int, collect_all: bool = False) -> MaxProductDim:
             value = product_dim_from_matrix(matrix)
             if value > best:
                 best, winners = value, [matrix]
-            elif value == best and collect_all:
+            elif value == best:
                 winners.append(matrix)
-        winners.sort(key=IntersectionMatrix.sort_key)
-        return MaxProductDim(g, best, winners[0], tuple(winners) if collect_all else ())
+        return MaxProductDim(best, winners[0], tuple(winners))
     value = sp_dim(g) - min(gamma_gamma_codim_by_search(s) for s in integer_partitions(g) if len(s) > 1)
     witness = IntersectionMatrix(((g - 2, 1), (1, 0)))
     attained = product_dim_from_matrix(witness)
     if attained != value:
         raise Disagreement(f"two-block witness at g = {g}", search_optimum=value, witness_attains=attained)
-    return MaxProductDim(g, value, witness, (witness,) if collect_all else ())
+    return MaxProductDim(value, witness, (witness,))
 
 
 def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:
@@ -149,8 +145,6 @@ def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:
     class (consecutive blocks) against every proper mu: (p(g) - 1)(Bell(g) - 1)
     pairs stand for all (Bell(g) - 1)^2.
     """
-    if g < 2:
-        raise GroundTooSmall(f"need g >= 2, got {g}")
     lams = [_consecutive_blocks(sizes) for sizes in integer_partitions(g) if len(sizes) > 1]
     return _sweep(lams, enumerate_proper_partitions(g))
 
@@ -171,18 +165,13 @@ def two_block_witness_value(g: int) -> int:
 # placed, so it memoizes cleanly on the sorted capacity profile.
 
 
-def _capacity_groups(caps: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(capacity, count) pairs for a sorted-descending capacity profile."""
-    return [(value, len(list(grp))) for value, grp in itertools.groupby(caps)]
-
-
 def _columns(caps: tuple[int, ...]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """All ways to carve one column out of the capacity profile.
 
     Yields (column_value, column_sum, remaining_profile); rows of equal
     capacity are interchangeable, so each group takes a multiset of amounts.
     """
-    groups = _capacity_groups(caps)
+    groups = [(cap, len(list(grp))) for cap, grp in itertools.groupby(caps)]
     per_group = [
         list(itertools.combinations_with_replacement(range(cap, -1, -1), count))
         for cap, count in groups

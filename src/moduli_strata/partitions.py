@@ -159,14 +159,6 @@ class IntersectionMatrix:
         object.__setattr__(self, "entries", canonical_entries(tuple(tuple(r) for r in self.entries)))
 
     @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @property
     def total(self) -> int:
         return sum(sum(r) for r in self.entries)
 
@@ -179,7 +171,7 @@ class IntersectionMatrix:
         return tuple(sum(c) for c in zip(*self.entries))
 
     def sort_key(self) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-        return (self.rows, self.cols, self.entries)
+        return (len(self.entries), len(self.entries[0]), self.entries)
 
 
 def integer_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

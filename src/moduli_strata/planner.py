@@ -43,7 +43,7 @@ from .strata import (
     DecompositionShape,
     MinCodim,
     mdec_codim_fixedpart,
-    mdec_codim_unitary_fixedpart,
+    mdec_codim_unitary,
     unitary_closed_form,
 )
 
@@ -176,7 +176,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
     else:
         sizes = (1,) * spec.elliptic_count + (spec.p + spec.q,)
         ambient = unitary_dim(spec.p, spec.q)
-        mdec = mdec_codim_unitary_fixedpart(spec.elliptic_count, spec.p, spec.q)
+        mdec = mdec_codim_unitary(spec.p, spec.q)
         boundary = unitary_boundary_codim(spec.p, spec.q)
         notes.append(
             "fixed elliptic factors are assumed pairwise non-isogenous and without "
@@ -191,6 +191,9 @@ def plan_family(spec: FamilySpec) -> PlanReport:
         if d_max != expected:
             raise Disagreement(f"symplectic budget for {spec}", d_max=d_max, min_varying_minus_one=expected)
     else:
+        notes.append(
+            f"{spec.elliptic_count} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"
+        )
         closed = unitary_closed_form(spec.p, spec.q)
         if closed is not None and d_max != closed - 1:
             notes.append(

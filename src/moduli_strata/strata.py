@@ -28,7 +28,7 @@ minima; a disagreement is reported, never silently overridden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import Disagreement, InvalidShape, VaryingDimTooSmall
@@ -110,15 +110,6 @@ class MinCodim:
     closed_form: int | None
     agrees: bool
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "codim": self.codim,
-            "witness": self.witness.to_dict(),
-            "closed_form": self.closed_form,
-            "agrees": self.agrees,
-            "notes": list(self.notes),
-        }
 
 
 def _check_two_paths(closed: int, raw: int, label: str) -> int:
@@ -227,6 +218,7 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
     """
     dims = shape.varying_dims
     candidates: list[tuple[int, str, tuple[int, ...]]] = []
+    excluded: list[tuple[int, int]] = []
     for i, gi in enumerate(dims, start=1):
         for j in range(i + 1, len(dims) + 1):
             codim, d = _offdiag_min(gi, dims[j - 1])
@@ -236,6 +228,8 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
         for j, gc in enumerate(shape.fixed_dims, start=1):
             if gc <= gi:
                 candidates.append((_absorb_codim(gi, gc), "c", (i, j)))
+            else:
+                excluded.append((i, j))
     codim, kind, params = min(candidates)
     ambient = sum(siegel_dim(d) for d in dims)
     witness = Stratum(kind, params, ambient, ambient - codim)
@@ -245,12 +239,6 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
     closed = fixedpart_closed_form(shape)
     notes: list[str] = []
     if closed is None:
-        excluded = [
-            (i, j)
-            for i, gv in enumerate(shape.varying_dims, start=1)
-            for j, gc in enumerate(shape.fixed_dims, start=1)
-            if gc > gv
-        ]
         notes.append(
             "closed form not asserted: absorption strata "
             + ", ".join(f"c{p}" for p in excluded)
@@ -340,15 +328,3 @@ def mdec_codim_unitary(p: int, q: int) -> MinCodim:
             )
     return MinCodim(witness.codim, witness, closed, agrees, tuple(notes))
 
-
-def mdec_codim_unitary_fixedpart(r: int, p: int, q: int) -> MinCodim:
-    """Same minimum with r fixed non-CM elliptic factors in front.
-
-    Fixed elliptic factors without extra endomorphisms contribute no new
-    strata, so the value is independent of r.
-    """
-    if r < 0:
-        raise InvalidShape(f"elliptic factor count must be >= 0, got {r}")
-    base = mdec_codim_unitary(p, q)
-    note = f"{r} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"
-    return replace(base, notes=base.notes + (note,))

@@ -72,6 +72,19 @@ PARTITION_ROUTE_STDOUT_SHA256 = {
     "verify L5.5 --g-max 8 --json": "5e8dbe80264a37f527e26dad1b681a9711810565dbcec6ad22d2e810d5f1da7d",
 }
 
+#: Exit code and sha256 of the exact stdout of calls whose code paths lost
+#: a pass-through or a duplicated rule, recorded before the cut: the order
+#: of the unitary plan notes, the L3.4 cases, the --witness-all maximizers
+#: below and above the exhaustive limit, and the excluded-pair note.
+TRIMMED_SURFACE_STDOUT_SHA256 = {
+    "plan --unitary 2,2 --elliptic 1": (0, "a143a731c8be60e842d94310366331d1f1f899874d1290fe24c09e76ebbdd7cc"),
+    "plan --unitary 2,3 --elliptic 0 --json": (0, "478cef052a6173de10e998fa513dea79f8b4f8105a2138eb90f619b13ca8c7ae"),
+    "verify L3.4 --g-max 4 --json": (2, "630594ce3082244321bccb058bf785566b1621f850f8be9129b8e457af9620c1"),
+    "gamma --g 4 --witness-all --json": (0, "45091f67470c528eca8bdb97bd2d42f96175c3c21060e15075fb111e7458bc16"),
+    "gamma --g 9 --witness-all --json": (0, "37854a82c15d16979d04881fbf1eb9484c076d191f39f36492c60c6229978fd3"),
+    "strata --fixed 3,5 --varying 2,4 --json": (0, "88e91c4441bf08e16227c1b0ae6c189c863a2537ab599b94a10f919854351aa3"),
+}
+
 
 def invoke(capsys, argv):
     code = run(argv)
@@ -185,6 +198,11 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PARTITION_ROUTE_STDOUT_SHA256[argv]
+
+    @pytest.mark.parametrize("argv", TRIMMED_SURFACE_STDOUT_SHA256, ids=str)
+    def test_trimmed_surface_bytes(self, capsys, argv):
+        code, out, _ = invoke(capsys, argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == TRIMMED_SURFACE_STDOUT_SHA256[argv]
 
     def test_two_block_witness_certificate(self, capsys, monkeypatch):
         # one less search codimension lifts the search maximum above what
@@ -329,6 +347,7 @@ class TestOutputTargets:
             (["realize", "--g", "5"], "one of the arguments --varying --unitary is required"),
             (["plan", "--varying", "3", "--witness-all"], "unrecognized arguments: --witness-all"),
             (["verify", "L3.1", "--witness-all"], "unrecognized arguments: --witness-all"),
+            (["gamma", "--g", "1"], "gamma needs --g >= 2"),
             (["kodaira", "--genus", "4", "--witness-all"], "unrecognized arguments: --witness-all"),
             (["realize", "--varying", "2", "--g", "3", "--witness-all"], "unrecognized arguments: --witness-all"),
         ],

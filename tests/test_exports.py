@@ -8,9 +8,10 @@ import moduli_strata
 from moduli_strata import hecke_groups, moduli, partitions, strata
 
 #: Removed when their formulas got a single home, or when partitions became
-#: block-id tuples; they must not come back.
+#: block-id tuples, or when nothing read them; they must not come back.
 DELETED = ("Siegel", "UnitarySpace", "ModuliSpace", "boundary_codim", "sp_total_dim", "strata_of_product",
-           "mdec_codim_product", "SetPartition", "partition_from_rgs", "realize_matrix", "intersection_matrix")
+           "mdec_codim_product", "SetPartition", "partition_from_rgs", "realize_matrix", "intersection_matrix",
+           "mdec_codim_unitary_fixedpart")
 
 
 def test_no_duplicates():

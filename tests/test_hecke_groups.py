@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moduli_strata import hecke_groups
 from moduli_strata.errors import GroundMismatch, GroundTooSmall, NotProper
 from moduli_strata.hecke_groups import (
     gamma_dim,
@@ -20,6 +21,7 @@ from moduli_strata.moduli import GroupExpr, SpAtom, sp_dim
 from moduli_strata.partitions import (
     IntersectionMatrix,
     block_sizes,
+    enumerate_matrix_types,
     enumerate_proper_partitions,
     integer_partitions,
     iter_all_partitions,
@@ -149,17 +151,31 @@ class TestMaxProductDim:
     @pytest.mark.parametrize("g", range(2, 9))
     def test_two_block_type_is_the_only_maximizer(self, g):
         # why the two-block matrix is the witness beyond the exhaustive limit
-        r = max_product_dim(g, collect_all=True)
+        r = max_product_dim(g)
         assert r.all_witnesses == (IntersectionMatrix(((g - 2, 1), (1, 0))),)
 
     def test_collect_all_lists_every_maximizer(self):
-        r = max_product_dim(4, collect_all=True)
+        r = max_product_dim(4)
         assert r.witness in r.all_witnesses
         assert all(product_dim_from_matrix(m) == r.value for m in r.all_witnesses)
+
+    def test_ties_are_kept_in_canonical_order(self, monkeypatch):
+        # a constant value makes every type a maximizer
+        monkeypatch.setattr(hecke_groups, "product_dim_from_matrix", lambda matrix: 0)
+        r = max_product_dim(4)
+        assert r.all_witnesses == tuple(sorted(enumerate_matrix_types(4), key=IntersectionMatrix.sort_key))
+        assert r.witness == r.all_witnesses[0]
 
     def test_ground_too_small(self):
         with pytest.raises(GroundTooSmall):
             max_product_dim(1)
+
+    @pytest.mark.parametrize("g", (-1, 0, 1))
+    @pytest.mark.parametrize("maximizer", (max_product_dim, max_product_dim_by_pairs), ids=lambda f: f.__name__)
+    def test_both_maximizers_reject_small_grounds(self, maximizer, g):
+        # the enumerations they call hold the g >= 2 rule
+        with pytest.raises(GroundTooSmall):
+            maximizer(g)
 
 
 class TestTranslateMargin:

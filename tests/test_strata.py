@@ -5,13 +5,13 @@ from itertools import combinations_with_replacement
 import pytest
 
 from moduli_strata.errors import InvalidShape, VaryingDimTooSmall
+from moduli_strata.planner import UnitaryFamily, plan_family
 from moduli_strata.strata import (
     DecompositionShape,
     Stratum,
     fixedpart_closed_form,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
-    mdec_codim_unitary_fixedpart,
     strata_of_shape,
     strata_of_unitary,
     unitary_closed_form,
@@ -179,13 +179,12 @@ class TestUnitaryStrata:
     def test_fixed_elliptic_part_is_inert(self):
         for r in range(0, 4):
             for p, q in [(2, 2), (2, 3), (3, 3), (4, 1)]:
-                a = mdec_codim_unitary_fixedpart(r, p, q)
+                plan = plan_family(UnitaryFamily(r, p, q))
                 b = mdec_codim_unitary(p, q)
-                assert (a.codim, a.closed_form, a.agrees) == (b.codim, b.closed_form, b.agrees)
-
-    def test_fixedpart_rejects_negative(self):
-        with pytest.raises(InvalidShape):
-            mdec_codim_unitary_fixedpart(-1, 2, 2)
+                assert (plan.mdec.codim, plan.mdec.closed_form, plan.mdec.agrees) == (b.codim, b.closed_form, b.agrees)
+                note = f"{r} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"
+                # after the assumption note and the unitary minimum's own notes
+                assert plan.notes[1 + len(b.notes)] == note
 
 
 class TestTwoPathConsistency:
