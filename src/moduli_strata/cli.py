@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import sys
+import time
 from typing import Sequence
 
 from . import __version__
@@ -167,7 +168,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         sys.stdout.writelines(blocks)
 
 
-def _render_lines(value: object, indent: int = 0) -> list[str]:
+def _render_lines(value: dict | list, indent: int = 0) -> list[str]:
     pad = "  " * indent
     lines: list[str] = []
     if isinstance(value, dict):
@@ -178,38 +179,22 @@ def _render_lines(value: object, indent: int = 0) -> list[str]:
                 lines.extend(_render_lines(inner, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {inner}")
-    elif isinstance(value, list):
+    else:
         for inner in value:
             if isinstance(inner, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_lines(inner, indent + 1))
             else:
                 lines.append(f"{pad}- {inner}")
-    else:
-        lines.append(f"{pad}{value}")
     return lines
 
 
 def _render_text(payload: dict) -> str:
     head = f"{payload['tool']} {payload['version']} :: {payload['command']}"
-    body = _render_lines({"input": payload["input"], "result": payload["result"]})
-    notes = payload.get("notes", [])
-    lines = [head, *body]
-    if notes:
-        lines.append("notes:")
-        lines.extend(f"  - {n}" for n in notes)
-    return "\n".join(lines) + "\n"
-
-
-def _payload(command: str, inputs: dict, result: dict, notes: list[str]) -> dict:
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "input": inputs,
-        "result": result,
-        "notes": notes,
-    }
+    body = {"input": payload["input"], "result": payload["result"]}
+    if payload["notes"]:
+        body["notes"] = payload["notes"]
+    return "\n".join([head, *_render_lines(body)]) + "\n"
 
 
 def _fixed_needs_varying(args: argparse.Namespace) -> None:
@@ -227,17 +212,21 @@ def _build_spec(args: argparse.Namespace):
     return SymplecticFamily(fixed_dims=args.fixed, varying_dims=args.varying)
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
+#: What each handler returns: input echo, result, notes and exit code.
+CommandReport = tuple[dict, dict, list[str], int]
+
+
+def _feasibility_code(args: argparse.Namespace, report) -> int:
+    return EXIT_INFEASIBLE if args.require_feasible and not report.feasible else EXIT_OK
+
+
+def _cmd_plan(args: argparse.Namespace) -> CommandReport:
     spec = _build_spec(args)
     report = plan_family(spec)
-    payload = _payload("plan", spec_to_dict(spec), report.to_dict(), list(report.notes))
-    _emit(payload, args)
-    if args.require_feasible and not report.feasible:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return spec_to_dict(spec), report.to_dict(), list(report.notes), _feasibility_code(args, report)
 
 
-def _cmd_strata(args: argparse.Namespace) -> int:
+def _cmd_strata(args: argparse.Namespace) -> CommandReport:
     _fixed_needs_varying(args)
     if args.unitary is not None:
         p, q = args.unitary
@@ -268,27 +257,23 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     }
     if args.witness_all:
         result["minimizers"] = [s.to_dict() for s in strata if s.codim == minimum.codim]
-    payload = _payload("strata", inputs, result, list(minimum.notes))
-    _emit(payload, args)
-    return EXIT_OK if minimum.agrees else EXIT_DISAGREEMENT
+    return inputs, result, list(minimum.notes), EXIT_OK if minimum.agrees else EXIT_DISAGREEMENT
 
 
-def _cmd_gamma(args: argparse.Namespace) -> int:
+def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
     g = args.g
     if g < 2:
         raise UsageError("gamma needs --g >= 2")
     maximum = max_product_dim(g)
-    classes = []
-    for sizes in integer_partitions(g):
-        if len(sizes) < 2:
-            continue
-        classes.append(
-            {
-                "block_sizes": list(sizes),
-                "gamma_dim": gamma_dim(sizes),
-                "translate_codim": gamma_gamma_codim(sizes),
-            }
-        )
+    classes = [
+        {
+            "block_sizes": list(sizes),
+            "gamma_dim": gamma_dim(sizes),
+            "translate_codim": gamma_gamma_codim(sizes),
+        }
+        for sizes in integer_partitions(g)
+        if len(sizes) >= 2
+    ]
     result = {
         "ground_size": g,
         "ambient_group_dim": sp_dim(g),
@@ -301,45 +286,37 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     if args.witness_all:
         result["maximizers"] = [[list(r) for r in m.entries] for m in maximum.all_witnesses]
     notes = ["translate codimensions depend only on the block-size multiset"]
-    payload = _payload("gamma", {"g": g}, result, notes)
-    _emit(payload, args)
-    return EXIT_OK if result["agrees"] else EXIT_DISAGREEMENT
+    return {"g": g}, result, notes, EXIT_OK if result["agrees"] else EXIT_DISAGREEMENT
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> CommandReport:
+    start = time.perf_counter()
     run = run_check(args.lemma_id, args.g_max)
+    disagreements = run.disagreements
+    summary = {"cases": len(run.cases), "disagreements": len(disagreements)}
+    if args.timing:
+        summary["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+    result = {"lemma_id": run.lemma_id, "parameter_range": run.parameter_range, "summary": summary}
+    # JSON lists every case; the human digest lists every disagreement, verbatim
     if args.json:
-        result = run.to_dict(timing=args.timing)
+        result["cases"] = [c.to_dict() for c in run.cases]
     else:
-        # human digest: summary plus every disagreement, verbatim
-        result = {
-            "lemma_id": run.lemma_id,
-            "parameter_range": run.parameter_range,
-            "summary": run.summary(timing=args.timing),
-            "disagreements": [c.to_dict() for c in run.disagreements],
-        }
-    payload = _payload("verify", {"lemma_id": args.lemma_id, "g_max": args.g_max}, result, run.notes)
-    _emit(payload, args)
-    return EXIT_DISAGREEMENT if run.disagreements else EXIT_OK
+        result["disagreements"] = [c.to_dict() for c in disagreements]
+    inputs = {"lemma_id": args.lemma_id, "g_max": args.g_max}
+    return inputs, result, run.notes, EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
-def _cmd_kodaira(args: argparse.Namespace) -> int:
+def _cmd_kodaira(args: argparse.Namespace) -> CommandReport:
     report = kodaira_budget(args.genus)
-    payload = _payload("kodaira", {"genus": args.genus}, report.to_dict(), list(report.notes))
-    _emit(payload, args)
-    if args.require_feasible and not report.feasible:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return {"genus": args.genus}, report.to_dict(), list(report.notes), _feasibility_code(args, report)
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
+def _cmd_realize(args: argparse.Namespace) -> CommandReport:
     if args.unitary is not None:
-        p, q = args.unitary
-        target = GroupExpr.of([SUFormAtom(p, q)])
-        inputs = {"target": target.label, "flavor": "unitary", "g_prime": args.g}
+        flavor, target = "unitary", GroupExpr.of([SUFormAtom(*args.unitary)])
     else:
-        target = GroupExpr.of(SpAtom(r) for r in args.varying)
-        inputs = {"target": target.label, "flavor": "symplectic", "g_prime": args.g}
+        flavor, target = "symplectic", GroupExpr.of(SpAtom(r) for r in args.varying)
+    inputs = {"target": target.label, "flavor": flavor, "g_prime": args.g}
     spec = realize_group(target, args.g)
     report = plan_family(spec)
     result = {
@@ -349,9 +326,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         "d_max": report.d_max,
         "total_g": report.total_g,
     }
-    payload = _payload("realize", inputs, result, list(report.notes))
-    _emit(payload, args)
-    return EXIT_OK
+    return inputs, result, list(report.notes), EXIT_OK
 
 
 _COMMANDS = {
@@ -365,18 +340,25 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse argv, dispatch, and return the process exit code."""
+    """Parse argv, run the subcommand, emit its report once and return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write(f"{TOOL_NAME}: error: {exc}\n")
-        return EXIT_USAGE
+        inputs, result, notes, code = _COMMANDS[args.command](args)
+        payload = {
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "command": args.command,
+            "input": inputs,
+            "result": result,
+            "notes": notes,
+        }
+        _emit(payload, args)
+        return code
     except Disagreement as exc:
         sys.stderr.write(f"{TOOL_NAME}: disagreement: {exc}\n")
         return EXIT_DISAGREEMENT
-    except DimensionCalculusError as exc:
+    except (UsageError, DimensionCalculusError) as exc:
         sys.stderr.write(f"{TOOL_NAME}: error: {exc}\n")
         return EXIT_USAGE
 

@@ -236,21 +236,20 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
     gv1 = dims[0]
     if codim < gv1:
         raise Disagreement(f"fixed-part minimum below its bound for {shape}", minimum=codim, bound=gv1)
-    closed = fixedpart_closed_form(shape)
+    # excluded pairs exist exactly where the closed form is not asserted
+    closed = None if excluded else fixedpart_closed_form(shape)
+    agrees = closed is None or codim == closed
     notes: list[str] = []
-    if closed is None:
+    if excluded:
         notes.append(
             "closed form not asserted: absorption strata "
             + ", ".join(f"c{p}" for p in excluded)
             + " are empty (fixed dimension exceeds a varying dimension)"
         )
-        agrees = True
-    else:
-        agrees = codim == closed
-        if not agrees:
-            notes.append(
-                f"enumerated minimum {codim} differs from closed form {closed}"
-            )
+    elif not agrees:
+        notes.append(
+            f"enumerated minimum {codim} differs from closed form {closed}"
+        )
     return MinCodim(codim, witness, closed, agrees, tuple(notes))
 
 

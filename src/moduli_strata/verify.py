@@ -1,15 +1,14 @@
 """Named verification suites: closed forms versus independent enumeration.
 
 Each suite sweeps a parameter box, recomputes a published closed form by
-brute-force enumeration, and records every case.  Disagreements are data,
-never suppressed: they flip the ``agree`` flag, surface in the report, and
-drive the command-line exit code.
+brute-force enumeration, and returns every case in a ``VerificationRun``;
+the command line shapes the report.  Disagreements are data, never
+suppressed: they flip the ``agree`` flag and drive the exit code.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +32,7 @@ from .partitions import (
 from .strata import (
     NONCM_DISPLAY_NOTE,
     DecompositionShape,
+    MinCodim,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
 )
@@ -71,31 +71,29 @@ class VerificationRun:
     parameter_range: str
     cases: list[CaseRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    elapsed_ms: int = 0
 
     @property
     def disagreements(self) -> list[CaseRecord]:
         return [c for c in self.cases if not c.agree]
 
-    def summary(self, timing: bool = False) -> dict:
-        out = {"cases": len(self.cases), "disagreements": len(self.disagreements)}
-        if timing:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
-    def to_dict(self, timing: bool = False) -> dict:
-        # run-level notes ride at the top level of the report payload
-        return {
-            "lemma_id": self.lemma_id,
-            "parameter_range": self.parameter_range,
-            "cases": [c.to_dict() for c in self.cases],
-            "summary": self.summary(timing),
-        }
+def _min_case(inputs: dict, result: MinCodim, expected: int | None, agree: bool, note: str = "") -> CaseRecord:
+    """A stratum-minimum case: the enumerated minimum, named by its witness."""
+    return CaseRecord(inputs, expected, result.codim, agree, witness=result.witness.label, note=note)
+
+
+def _routes_agree(routes: dict[str, int]) -> bool:
+    """A case agrees when every route gives the same value."""
+    return len(set(routes.values())) == 1
 
 
 def _sorted_tuples(values: range, max_len: int):
     for length in range(1, max_len + 1):
         yield from itertools.combinations_with_replacement(values, length)
+
+
+def _unitary_box(g_max: int):
+    return ((p, q) for p in range(1, g_max + 1) for q in range(1, g_max + 1) if p + q >= 3)
 
 
 def run_product_min(g_max: int) -> VerificationRun:
@@ -104,15 +102,7 @@ def run_product_min(g_max: int) -> VerificationRun:
     for dims in _sorted_tuples(range(2, g_max + 1), 4):
         result = mdec_codim_fixedpart(DecompositionShape((), dims))
         expected = 2 * dims[0] - 2
-        run.cases.append(
-            CaseRecord(
-                {"varying_dims": list(dims)},
-                expected,
-                result.codim,
-                result.codim == expected,
-                witness=result.witness.label,
-            )
-        )
+        run.cases.append(_min_case({"varying_dims": list(dims)}, result, expected, result.codim == expected))
     return run
 
 
@@ -129,22 +119,14 @@ def run_fixedpart_min(g_max: int) -> VerificationRun:
     run = VerificationRun("L3.2", f"fixed/varying dims <= {g_max}, <= 3 factors each")
     fixed_choices = [()] + list(_sorted_tuples(range(1, g_max + 1), 3))
     varying_choices = list(_sorted_tuples(range(2, g_max + 1), 3))
-    flagged = 0
     for fixed in fixed_choices:
         for varying in varying_choices:
             result = mdec_codim_fixedpart(DecompositionShape(fixed, varying))
             bound_only = result.closed_form is None
-            flagged += bound_only
-            run.cases.append(
-                CaseRecord(
-                    {"fixed_dims": list(fixed), "varying_dims": list(varying)},
-                    result.closed_form,
-                    result.codim,
-                    result.agrees,
-                    witness=result.witness.label,
-                    note="closed form not asserted (empty absorption strata); bound check only" if bound_only else "",
-                )
-            )
+            inputs = {"fixed_dims": list(fixed), "varying_dims": list(varying)}
+            note = "closed form not asserted (empty absorption strata); bound check only" if bound_only else ""
+            run.cases.append(_min_case(inputs, result, result.closed_form, result.agrees, note))
+    flagged = sum(c.expected is None for c in run.cases)
     run.notes.append(f"{flagged} shapes flagged with empty absorption strata")
     return run
 
@@ -153,21 +135,11 @@ def run_unitary_min(g_max: int) -> VerificationRun:
     """Unitary minimal codimension versus min(2p, p+q-2, 2q)."""
     run = VerificationRun("L3.3", f"1 <= p, q <= {g_max}, p+q >= 3")
     run.notes.append(NONCM_DISPLAY_NOTE)
-    for p in range(1, g_max + 1):
-        for q in range(1, g_max + 1):
-            if p + q < 3:
-                continue
-            result = mdec_codim_unitary(p, q)
-            run.cases.append(
-                CaseRecord(
-                    {"p": p, "q": q},
-                    result.closed_form,
-                    result.codim,
-                    result.agrees,
-                    witness=result.witness.label,
-                    note="; ".join(result.notes),
-                )
-            )
+    for p, q in _unitary_box(g_max):
+        result = mdec_codim_unitary(p, q)
+        run.cases.append(
+            _min_case({"p": p, "q": q}, result, result.closed_form, result.agrees, note="; ".join(result.notes))
+        )
     return run
 
 
@@ -179,20 +151,11 @@ def run_unitary_fixedpart_min(g_max: int) -> VerificationRun:
     run = VerificationRun("L3.4", f"r in 0..3, 1 <= p, q <= {g_max}, p+q >= 3")
     run.notes.append(NONCM_DISPLAY_NOTE)
     for r in range(0, 4):
-        for p in range(1, g_max + 1):
-            for q in range(1, g_max + 1):
-                if p + q < 3:
-                    continue
-                result = mdec_codim_unitary(p, q)
-                run.cases.append(
-                    CaseRecord(
-                        {"elliptic_count": r, "p": p, "q": q},
-                        result.closed_form,
-                        result.codim,
-                        result.agrees,
-                        witness=result.witness.label,
-                    )
-                )
+        for p, q in _unitary_box(g_max):
+            result = mdec_codim_unitary(p, q)
+            run.cases.append(
+                _min_case({"elliptic_count": r, "p": p, "q": q}, result, result.closed_form, result.agrees)
+            )
     return run
 
 
@@ -237,22 +200,19 @@ def run_max_product(g_max: int) -> VerificationRun:
     run = VerificationRun("L5.5", f"g in 2..{g_max}")
     for g in range(2, g_max + 1):
         result = max_product_dim(g)
-        expected = sp_dim(g) - 4
-        agree = result.value == expected
+        routes = {"closed_form": sp_dim(g) - 4, "maximizer": result.value}
         notes = []
         if g <= PAIR_SWEEP_LIMIT:
-            pair_value = max_product_dim_by_pairs(g)[0]
-            agree = agree and pair_value == result.value
-            notes.append(f"pair sweep over {(bell_number(g) - 1) ** 2} pairs gives {pair_value}")
-        witness_value = two_block_witness_value(g)
-        agree = agree and witness_value == expected
-        notes.append(f"two-block family attains {witness_value}")
+            routes["pair_sweep"] = max_product_dim_by_pairs(g)[0]
+            notes.append(f"pair sweep over {(bell_number(g) - 1) ** 2} pairs gives {routes['pair_sweep']}")
+        routes["two_block"] = two_block_witness_value(g)
+        notes.append(f"two-block family attains {routes['two_block']}")
         run.cases.append(
             CaseRecord(
                 {"g": g},
-                expected,
+                routes["closed_form"],
                 result.value,
-                agree,
+                _routes_agree(routes),
                 witness=[list(r) for r in result.witness.entries],
                 note="; ".join(notes),
             )
@@ -283,7 +243,7 @@ def run_translate_margin(g_max: int) -> VerificationRun:
             }
             if g <= PAIR_ROUTE_LIMIT:
                 routes["pair_sweep"] = gamma_gamma_codim_by_pairs(sizes)
-            agree = len(set(routes.values())) == 1
+            agree = _routes_agree(routes)
             run.cases.append(
                 CaseRecord(
                     {"g": g, "block_sizes": list(sizes)},
@@ -329,9 +289,7 @@ def run_check(check_id: str, g_max: int | None = None) -> VerificationRun:
     nothing must not report that everything agrees.
     """
     spec = CHECKS[check_id]
-    start = time.perf_counter()
     run = spec.runner(g_max if g_max is not None else spec.default_g_max)
-    run.elapsed_ms = int((time.perf_counter() - start) * 1000)
     if not run.cases:
         raise GroundTooSmall(
             f"verify {check_id} checks no case at --g-max {g_max}; the smallest box is --g-max {MIN_G_MAX}"

@@ -4,15 +4,20 @@ Run ``PYTHONPATH=src python tests/stdout_digest.py`` on the parent commit
 and on a change that must keep the output byte-identical, then ``diff``
 the two listings.  Requests: every workload request of
 ``perfbench/workloads.py`` at seeds 1-3 (golden calls included), each
-verify suite at its default box and --g-max 2..8, gamma at g = 2..12 with
-and without --witness-all, plan, strata and realize on the unitary grid
-p, q <= 5, r <= 2 in text and JSON, and plan and strata on fixed/varying
-shapes.  Each runs in this process through ``moduli_strata.cli.run``.
+verify suite at its default box and --g-max 2..8 in JSON and 2..7 in text,
+gamma at g = 2..12 with and without --witness-all and at g = 1..9 in text,
+plan, strata and realize on the unitary grid p, q <= 5, r <= 2 in text and
+JSON, plan with --require-feasible on p, q <= 4, r <= 1 (the only route to
+plan's exit 3), kodaira at genus 3..11 with and without --require-feasible,
+realize on three symplectic targets at g' = 2..13, and plan and strata on
+fixed/varying shapes.  Each runs in this process through
+``moduli_strata.cli.run``.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -30,6 +35,7 @@ def requests() -> list[tuple[str, ...]]:
     out = [r.argv for name in workloads.WORKLOADS for seed in (1, 2, 3) for r in workloads.requests_for(name, seed)]
     for lemma in sorted(CHECKS):
         out += [("verify", lemma, "--json")] + [("verify", lemma, "--g-max", str(g), "--json") for g in range(2, 9)]
+        out += [("verify", lemma)] + [("verify", lemma, "--g-max", str(g)) for g in range(2, 8)]
     out += [("gamma", "--g", str(g), "--json") + extra for g in range(2, 13) for extra in ((), ("--witness-all",))]
     for p in range(1, 6):
         for q in range(1, 6):
@@ -38,6 +44,15 @@ def requests() -> list[tuple[str, ...]]:
                 for r in range(3):
                     out.append(("plan", "--unitary", f"{p},{q}", "--elliptic", str(r)) + fmt)
                     out.append(("realize", "--unitary", f"{p},{q}", "--g", str(p + q + r)) + fmt)
+    out += [("gamma", "--g", str(g)) for g in range(1, 10)]
+    for g in range(3, 12):
+        out += [("kodaira", "--genus", str(g)) + extra
+                for extra in ((), ("--require-feasible",), ("--json", "--require-feasible"))]
+    for p, q, r in itertools.product(range(1, 5), range(1, 5), range(2)):
+        out += [("plan", "--unitary", f"{p},{q}", "--elliptic", str(r), "--require-feasible") + fmt
+                for fmt in ((), ("--json",))]
+    for target, g, fmt in itertools.product(("2", "2,3", "3,3,4"), range(2, 14), ((), ("--json",))):
+        out.append(("realize", "--varying", target, "--g", str(g)) + fmt)
     for shape in SHAPES:
         fixed, varying = shape.split(":")
         spec = (("--fixed", fixed) if fixed else ()) + ("--varying", varying)

@@ -85,6 +85,18 @@ TRIMMED_SURFACE_STDOUT_SHA256 = {
     "strata --fixed 3,5 --varying 2,4 --json": (0, "88e91c4441bf08e16227c1b0ae6c189c863a2537ab599b94a10f919854351aa3"),
 }
 
+#: Exit code and sha256 of the exact stdout of report paths that lost their
+#: second emit call or their library-side shape, recorded before the cut:
+#: plan's exit 3 (the report is still printed) and the verify text digest.
+REPORT_PATH_STDOUT_SHA256 = {
+    "plan --unitary 2,2 --elliptic 1 --require-feasible":
+        (3, "a143a731c8be60e842d94310366331d1f1f899874d1290fe24c09e76ebbdd7cc"),
+    "plan --unitary 2,2 --elliptic 1 --require-feasible --json":
+        (3, "6807c83990a2886c9b3100054c8c4b09c34d54e3973cbfa7b684e3b56aac8895"),
+    "verify L3.3 --g-max 4": (2, "84a0e754ffea25d232bcee2fb5d1f71766da62c9418ad273f7615abaa3ad0a32"),
+    "verify L5.5 --g-max 4": (0, "77ed206a5ac69324f554ebd4ed6d20b66d9938d87044d288c7997757d87915e4"),
+}
+
 
 def invoke(capsys, argv):
     code = run(argv)
@@ -204,6 +216,26 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, argv.split())
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == TRIMMED_SURFACE_STDOUT_SHA256[argv]
 
+    @pytest.mark.parametrize("argv", REPORT_PATH_STDOUT_SHA256, ids=str)
+    def test_report_path_bytes(self, capsys, argv):
+        code, out, _ = invoke(capsys, argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == REPORT_PATH_STDOUT_SHA256[argv]
+
+    def test_pair_sweep_route_disagreement(self, capsys, monkeypatch):
+        sweep = verify.max_product_dim_by_pairs
+
+        def one_too_high_at_4(g):
+            value, witness = sweep(g)
+            return value + (g == 4), witness
+
+        monkeypatch.setattr(verify, "max_product_dim_by_pairs", one_too_high_at_4)
+        assert _failed_max_product_cases(capsys) == [4]
+
+    def test_two_block_route_disagreement(self, capsys, monkeypatch):
+        attained = verify.two_block_witness_value
+        monkeypatch.setattr(verify, "two_block_witness_value", lambda g: attained(g) + (g == 3))
+        assert _failed_max_product_cases(capsys) == [3]
+
     def test_two_block_witness_certificate(self, capsys, monkeypatch):
         # one less search codimension lifts the search maximum above what
         # the two-block witness attains, so the certificate must fail
@@ -219,6 +251,16 @@ class TestExitCodes:
         payload = json.loads(out)
         bad = [c for c in payload["result"]["cases"] if not c["agree"]]
         assert [(c["input"]["p"], c["input"]["q"]) for c in bad] == [(2, 2), (3, 3)]
+
+
+def _failed_max_product_cases(capsys) -> list[int]:
+    """The g of each disagreeing case of ``verify L5.5 --g-max 5``, which must exit 2."""
+    code, out, err = invoke(capsys, ["verify", "L5.5", "--g-max", "5", "--json"])
+    assert code == 2 and "Traceback" not in err
+    result = json.loads(out)["result"]
+    bad = [c["input"]["g"] for c in result["cases"] if not c["agree"]]
+    assert result["summary"]["disagreements"] == len(bad)
+    return bad
 
 
 class TestDeterminism:
@@ -248,6 +290,14 @@ class TestDeterminism:
         _, out, _ = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--json", "--timing"])
         payload = json.loads(out)
         assert "elapsed_ms" in payload["result"]["summary"]
+
+    def test_timing_flag_in_text_summary(self, capsys):
+        _, out, _ = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--timing"])
+        lines = out.splitlines()
+        at = lines.index("  summary:")
+        assert [line.split(":")[0] for line in lines[at + 1:at + 5]] == [
+            "    cases", "    disagreements", "    elapsed_ms", "  disagreements",
+        ]
 
 
 class TestJsonSchema:
