@@ -231,7 +231,7 @@ def _cmd_strata(args: argparse.Namespace) -> CommandReport:
     if args.unitary is not None:
         p, q = args.unitary
         strata = strata_of_unitary(p, q)
-        minimum = mdec_codim_unitary(p, q)
+        minimum = mdec_codim_unitary(p, q, strata)
         inputs = {"flavor": "unitary", "p": p, "q": q}
     else:
         shape = DecompositionShape(args.fixed, args.varying)

@@ -44,6 +44,7 @@ from .strata import (
     MinCodim,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
+    strata_of_unitary,
     unitary_closed_form,
 )
 
@@ -176,7 +177,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
     else:
         sizes = (1,) * spec.elliptic_count + (spec.p + spec.q,)
         ambient = unitary_dim(spec.p, spec.q)
-        mdec = mdec_codim_unitary(spec.p, spec.q)
+        mdec = mdec_codim_unitary(spec.p, spec.q, strata_of_unitary(spec.p, spec.q))
         boundary = unitary_boundary_codim(spec.p, spec.q)
         notes.append(
             "fixed elliptic factors are assumed pairwise non-isogenous and without "

@@ -296,21 +296,19 @@ def unitary_closed_form(p: int, q: int) -> int | None:
     return min(2 * p, p + q - 2, 2 * q)
 
 
-def mdec_codim_unitary(p: int, q: int) -> MinCodim:
+def mdec_codim_unitary(p: int, q: int, strata: tuple[Stratum, ...]) -> MinCodim:
     """Minimal codimension of the repeated-factor locus in unitary moduli.
 
-    The minimum is taken over the enumerated strata.  It is compared with
-    min(2p, p+q-2, 2q); at (p, q) = (2, 2) and (3, 3) the unitary_noncm
-    stratum with k = p = q lies strictly deeper than the closed form and
-    the disagreement is reported in the result.
+    The minimum is taken over ``strata``, as ``strata_of_unitary(p, q)``
+    returns them, and compared with min(2p, p+q-2, 2q); at (p, q) = (2, 2)
+    and (3, 3) the unitary_noncm stratum with k = p = q lies strictly deeper
+    than the closed form and the disagreement is reported in the result.
     """
-    strata = strata_of_unitary(p, q)
     witness = min(strata, key=Stratum.sort_key)
     closed = unitary_closed_form(p, q)
     notes: list[str] = []
-    agrees = True
-    if closed is not None and witness.codim != closed:
-        agrees = False
+    agrees = closed is None or witness.codim == closed
+    if not agrees:
         notes.append(
             f"enumerated minimum {witness.codim} is below the closed form "
             f"min(2p, p+q-2, 2q) = {closed}; witness {witness.label} has "

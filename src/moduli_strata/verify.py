@@ -35,6 +35,7 @@ from .strata import (
     MinCodim,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
+    strata_of_unitary,
 )
 
 
@@ -136,7 +137,7 @@ def run_unitary_min(g_max: int) -> VerificationRun:
     run = VerificationRun("L3.3", f"1 <= p, q <= {g_max}, p+q >= 3")
     run.notes.append(NONCM_DISPLAY_NOTE)
     for p, q in _unitary_box(g_max):
-        result = mdec_codim_unitary(p, q)
+        result = mdec_codim_unitary(p, q, strata_of_unitary(p, q))
         run.cases.append(
             _min_case({"p": p, "q": q}, result, result.closed_form, result.agrees, note="; ".join(result.notes))
         )
@@ -152,7 +153,7 @@ def run_unitary_fixedpart_min(g_max: int) -> VerificationRun:
     run.notes.append(NONCM_DISPLAY_NOTE)
     for r in range(0, 4):
         for p, q in _unitary_box(g_max):
-            result = mdec_codim_unitary(p, q)
+            result = mdec_codim_unitary(p, q, strata_of_unitary(p, q))
             run.cases.append(
                 _min_case({"elliptic_count": r, "p": p, "q": q}, result, result.closed_form, result.agrees)
             )

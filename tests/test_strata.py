@@ -26,6 +26,10 @@ def product_min(dims):
     return mdec_codim_fixedpart(DecompositionShape((), dims))
 
 
+def unitary_min(p, q):
+    return mdec_codim_unitary(p, q, strata_of_unitary(p, q))
+
+
 class TestProductStrata:
     def test_two_three(self):
         s = by_kind_params(strata_of_shape(DecompositionShape((), (2, 3))))
@@ -150,37 +154,37 @@ class TestUnitaryStrata:
             strata_of_unitary(0, 2)
 
     def test_minimum_examples(self):
-        assert mdec_codim_unitary(2, 1).codim == 1
-        assert mdec_codim_unitary(2, 3).codim == 3
-        assert mdec_codim_unitary(4, 4).codim == 6
+        assert unitary_min(2, 1).codim == 1
+        assert unitary_min(2, 3).codim == 3
+        assert unitary_min(4, 4).codim == 6
 
     def test_closed_form_agreement_off_diagonal(self):
         for p in range(1, 9):
             for q in range(1, 9):
                 if p + q < 3 or (p == q and p in (2, 3)):
                     continue
-                r = mdec_codim_unitary(p, q)
+                r = unitary_min(p, q)
                 assert r.agrees and r.codim == unitary_closed_form(p, q)
 
     def test_known_divergences_pinned(self):
-        r22 = mdec_codim_unitary(2, 2)
+        r22 = unitary_min(2, 2)
         assert (r22.codim, r22.closed_form, r22.agrees) == (1, 2, False)
         assert r22.witness.kind == "unitary_noncm" and r22.witness.params == (2,)
-        r33 = mdec_codim_unitary(3, 3)
+        r33 = unitary_min(3, 3)
         assert (r33.codim, r33.closed_form, r33.agrees) == (3, 4, False)
         assert r33.witness.params == (3,)
         assert any("below the closed form" in n for n in r22.notes)
 
     def test_cm_dominance_note(self):
         # at (2, 2) the largest cm stratum has k+l = 4, not 2
-        notes = mdec_codim_unitary(2, 2).notes
+        notes = unitary_min(2, 2).notes
         assert any("k+l > 2" in n for n in notes)
 
     def test_fixed_elliptic_part_is_inert(self):
         for r in range(0, 4):
             for p, q in [(2, 2), (2, 3), (3, 3), (4, 1)]:
                 plan = plan_family(UnitaryFamily(r, p, q))
-                b = mdec_codim_unitary(p, q)
+                b = unitary_min(p, q)
                 assert (plan.mdec.codim, plan.mdec.closed_form, plan.mdec.agrees) == (b.codim, b.closed_form, b.agrees)
                 note = f"{r} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"
                 # after the assumption note and the unitary minimum's own notes
