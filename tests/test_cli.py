@@ -13,6 +13,51 @@ from moduli_strata import cli, hecke_groups, planner, strata, verify
 from moduli_strata.cli import build_parser, run
 from moduli_strata.errors import GroundTooSmall
 from moduli_strata.moduli import BoundaryCodim
+from stdout_digest import LISTING, digest, recorded
+
+#: Requests whose output earlier refactors pinned; each must stay a line of
+#: the golden listing and reproduce it.  The digests live only in the listing.
+GOLDEN = (
+    "plan --fixed 1 --varying 3 --json", "plan --varying 2,2 --json",
+    "plan --unitary 2,3 --elliptic 1 --json", "plan --varying 1,3", "plan --unitary 1,2 --elliptic 1",
+    "strata --varying 2,3 --json", "strata --unitary 3,1 --json", "gamma --g 4 --json",
+    "verify L5.5 --g-max 5 --json", "verify L3.3 --g-max 4 --json",
+    "kodaira --genus 5 --require-feasible --json", "no-such-command",
+)
+#: calls that reach the fixed-part minimum
+MEMOIZED_ROUTE = (
+    "verify L3.2 --g-max 4 --json", "strata --fixed 1,4 --varying 3,5 --json",
+    "strata --fixed 1,4 --varying 3,5 --witness-all --json",
+)
+#: calls that reach the pair sweep, the insertion check or the g > 8 witness
+PARTITION_ROUTE = (
+    "gamma --g 10 --json", "gamma --g 10 --witness-all --json", "verify C5.3-increment --g-max 7 --json",
+    "verify C5.6 --g-max 6 --json", "verify L5.5 --g-max 7 --json", "gamma --g 8 --json",
+    "gamma --g 8 --witness-all --json", "verify L5.5 --g-max 8 --json",
+)
+#: the unitary plan notes, the L3.4 cases, the --witness-all maximizers and the excluded-pair note
+TRIMMED_SURFACE = (
+    "plan --unitary 2,2 --elliptic 1", "plan --unitary 2,3 --elliptic 0 --json", "verify L3.4 --g-max 4 --json",
+    "gamma --g 4 --witness-all --json", "gamma --g 9 --witness-all --json",
+    "strata --fixed 3,5 --varying 2,4 --json",
+)
+#: plan's exit 3, which still prints the report, and the verify text digest
+REPORT_PATH = (
+    "plan --unitary 2,2 --elliptic 1 --require-feasible", "plan --unitary 2,2 --elliptic 1 --require-feasible --json",
+    "verify L3.3 --g-max 4", "verify L5.5 --g-max 4",
+)
+LISTED = {tuple(sorted(argv.split(" "))): line.split(" ")[:3] for argv, line in recorded(LISTING.read_text()).items()}
+
+
+def listed_outcome(argv: str) -> list[str]:
+    """Exit code and digests listed for the request, whatever the order of its flags there."""
+    key = tuple(sorted(argv.split(" ")))
+    assert key in LISTED, f"{argv!r} is missing from tests/golden_stdout.txt"
+    return LISTED[key]
+
+
+def golden_outcome(argv: str) -> list[str]:
+    return digest(argv).split(" ")[:3]
 
 
 def invoke(capsys, argv):
@@ -22,6 +67,31 @@ def invoke(capsys, argv):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", GOLDEN, ids=str)
+    def test_golden_set(self, capsys, argv):
+        code, _, _ = invoke(capsys, argv.split(" "))
+        assert str(code) == listed_outcome(argv)[0]
+
+    @pytest.mark.parametrize("argv", GOLDEN, ids=str)
+    def test_golden_bytes(self, argv):
+        assert golden_outcome(argv) == listed_outcome(argv)
+
+    @pytest.mark.parametrize("argv", MEMOIZED_ROUTE, ids=str)
+    def test_memoized_route_bytes(self, argv):
+        assert golden_outcome(argv) == listed_outcome(argv)
+
+    @pytest.mark.parametrize("argv", PARTITION_ROUTE, ids=str)
+    def test_partition_route_bytes(self, argv):
+        assert golden_outcome(argv) == listed_outcome(argv)
+
+    @pytest.mark.parametrize("argv", TRIMMED_SURFACE, ids=str)
+    def test_trimmed_surface_bytes(self, argv):
+        assert golden_outcome(argv) == listed_outcome(argv)
+
+    @pytest.mark.parametrize("argv", REPORT_PATH, ids=str)
+    def test_report_path_bytes(self, argv):
+        assert golden_outcome(argv) == listed_outcome(argv)
+
     def test_require_feasible_passes_when_feasible(self, capsys):
         code, _, _ = invoke(capsys, ["kodaira", "--genus", "4", "--require-feasible"])
         assert code == 0
