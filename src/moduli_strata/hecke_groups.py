@@ -31,7 +31,7 @@ completion search serves only ``max_product_dim`` for g > 8 and C5.6.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -96,13 +96,10 @@ def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
     return gamma_dim(matrix.row_sums) + gamma_dim(matrix.col_sums) - gamma_dim(cells)
 
 
-@dataclass(frozen=True)
-class MaxProductDim:
+class MaxProductDim(namedtuple("MaxProductDim", "value witness all_witnesses")):
     """Maximum product dimension with a canonical witness matrix."""
 
-    value: int
-    witness: IntersectionMatrix
-    all_witnesses: tuple[IntersectionMatrix, ...]
+    __slots__ = ()
 
 
 #: Largest ground size for which every canonical matrix type is enumerated.

@@ -14,7 +14,7 @@ atoms with exact dimensions k(2k+1) and (p+q)^2 - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Union
 
 from .errors import GroundTooSmall, RankTooSmall, UnitaryBoundViolated
@@ -50,15 +50,13 @@ def unitary_dim(p: int, q: int) -> int:
     return p * q
 
 
-@dataclass(frozen=True)
-class BoundaryCodim:
+class BoundaryCodim(namedtuple("BoundaryCodim", "codim exact")):
     """Codimension of the minimal compactification boundary.
 
     ``exact`` distinguishes a sharp value from a guaranteed lower bound.
     """
 
-    codim: int
-    exact: bool
+    __slots__ = ()
 
 
 def siegel_boundary_codim(g: int) -> BoundaryCodim:
@@ -89,15 +87,15 @@ def sp_dim(l: int) -> int:
     return l * (2 * l + 1)
 
 
-@dataclass(frozen=True, order=True)
-class SpAtom:
+class SpAtom(namedtuple("SpAtom", "rank")):
     """A symplectic factor Sp(2*rank); dimension rank*(2*rank+1)."""
 
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise RankTooSmall(f"Sp atom rank must be >= 1, got {self.rank}")
+    def __new__(cls, rank: int) -> SpAtom:
+        if rank < 1:
+            raise RankTooSmall(f"Sp atom rank must be >= 1, got {rank}")
+        return super().__new__(cls, rank)
 
     @property
     def dim(self) -> int:
@@ -108,16 +106,15 @@ class SpAtom:
         return f"Sp({2 * self.rank})"
 
 
-@dataclass(frozen=True, order=True)
-class SUFormAtom:
+class SUFormAtom(namedtuple("SUFormAtom", "p q")):
     """A rational form of SU(p, q); dimension (p+q)^2 - 1."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise UnitaryBoundViolated(f"SU-form parameters must be >= 1, got ({self.p}, {self.q})")
+    def __new__(cls, p: int, q: int) -> SUFormAtom:
+        if p < 1 or q < 1:
+            raise UnitaryBoundViolated(f"SU-form parameters must be >= 1, got ({p}, {q})")
+        return super().__new__(cls, p, q)
 
     @property
     def dim(self) -> int:
@@ -137,16 +134,15 @@ def _atom_key(atom: GroupAtom) -> tuple[int, int, int]:
     return (1, atom.p, atom.q)
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(namedtuple("GroupExpr", "atoms")):
     """A formal product of group atoms in canonical (sorted) order."""
 
-    atoms: tuple[GroupAtom, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+    def __new__(cls, atoms: tuple[GroupAtom, ...]) -> GroupExpr:
+        if not atoms:
             raise ValueError("a group expression needs at least one atom")
-        object.__setattr__(self, "atoms", tuple(sorted(self.atoms, key=_atom_key)))
+        return super().__new__(cls, tuple(sorted(atoms, key=_atom_key)))
 
     @classmethod
     def of(cls, atoms: Iterable[GroupAtom]) -> "GroupExpr":

@@ -14,7 +14,7 @@ orders of a group of equal row sums are never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -132,8 +132,7 @@ def canonical_entries(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
     return tuple(form)
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(namedtuple("IntersectionMatrix", "entries")):
     """Block-intersection profile of a pair of partitions, canonicalized.
 
     Entry (j, k) counts the elements shared by block j of the first
@@ -141,22 +140,22 @@ class IntersectionMatrix:
     the two block-size multisets.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> IntersectionMatrix:
+        if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
-        width = len(self.entries[0])
-        for row in self.entries:
+        width = len(entries[0])
+        for row in entries:
             if len(row) != width:
                 raise ValueError("ragged matrix")
             if any(e < 0 for e in row):
                 raise ValueError("entries must be >= 0")
-        if any(all(e == 0 for e in row) for row in self.entries):
+        if any(all(e == 0 for e in row) for row in entries):
             raise ValueError("zero row")
-        if any(all(row[j] == 0 for row in self.entries) for j in range(width)):
+        if any(all(row[j] == 0 for row in entries) for j in range(width)):
             raise ValueError("zero column")
-        object.__setattr__(self, "entries", canonical_entries(tuple(tuple(r) for r in self.entries)))
+        return super().__new__(cls, canonical_entries(tuple(tuple(r) for r in entries)))
 
     @property
     def total(self) -> int:

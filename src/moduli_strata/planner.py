@@ -16,7 +16,7 @@ nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Union
 
 from .errors import (
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .hecke_groups import gamma_gamma_codim
 from .moduli import (
-    BoundaryCodim,
     GroupExpr,
     SpAtom,
     SUFormAtom,
@@ -41,7 +40,6 @@ from .moduli import (
 )
 from .strata import (
     DecompositionShape,
-    MinCodim,
     mdec_codim_fixedpart,
     mdec_codim_unitary,
     strata_of_unitary,
@@ -54,22 +52,20 @@ from .strata import (
 SymplecticFamily = DecompositionShape
 
 
-@dataclass(frozen=True)
-class UnitaryFamily:
+class UnitaryFamily(namedtuple("UnitaryFamily", "elliptic_count p q")):
     """Fixed non-CM elliptic factors plus one varying factor with
     imaginary quadratic multiplication of type (p, q)."""
 
-    elliptic_count: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.elliptic_count < 0:
-            raise SpecInvalid(f"elliptic factor count {self.elliptic_count} < 0")
-        if self.p < 1 or self.q < 1:
-            raise SpecInvalid(f"unitary parameters ({self.p},{self.q}) must be >= 1")
-        if self.p + self.q < 4:
-            raise SpecInvalid(f"p+q={self.p + self.q} < 4")
+    def __new__(cls, elliptic_count: int, p: int, q: int) -> UnitaryFamily:
+        if elliptic_count < 0:
+            raise SpecInvalid(f"elliptic factor count {elliptic_count} < 0")
+        if p < 1 or q < 1:
+            raise SpecInvalid(f"unitary parameters ({p},{q}) must be >= 1")
+        if p + q < 4:
+            raise SpecInvalid(f"p+q={p + q} < 4")
+        return super().__new__(cls, elliptic_count, p, q)
 
     @property
     def total_g(self) -> int:
@@ -87,22 +83,16 @@ def derived_mt(spec: FamilySpec) -> GroupExpr:
     return GroupExpr.of([SUFormAtom(spec.p, spec.q)])
 
 
-@dataclass(frozen=True)
-class PlanReport:
+class PlanReport(
+    namedtuple(
+        "PlanReport",
+        "spec total_g ambient_dim mdec boundary budget d_max monodromy monodromy_dim hecke_margin feasible notes",
+        defaults=((),),
+    )
+):
     """Everything the budget arithmetic produces for one family spec."""
 
-    spec: FamilySpec
-    total_g: int
-    ambient_dim: int
-    mdec: MinCodim
-    boundary: BoundaryCodim
-    budget: int
-    d_max: int
-    monodromy: GroupExpr
-    monodromy_dim: int
-    hecke_margin: int | None
-    feasible: bool
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -251,8 +241,13 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
     )
 
 
-@dataclass(frozen=True)
-class KodairaReport:
+class KodairaReport(
+    namedtuple(
+        "KodairaReport",
+        "fiber_genus spec mdec boundary torelli_codim post_torelli_budget feasible monodromy notes",
+        defaults=((),),
+    )
+):
     """Budget chain for a complete one-dimensional family of curves.
 
     The fiber-genus-h construction works inside the locus of products of a
@@ -261,15 +256,7 @@ class KodairaReport:
     paying the Torelli codimension.
     """
 
-    fiber_genus: int
-    spec: SymplecticFamily
-    mdec: MinCodim
-    boundary: BoundaryCodim
-    torelli_codim: int
-    post_torelli_budget: int
-    feasible: bool
-    monodromy: GroupExpr
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -28,25 +28,23 @@ minima; a disagreement is reported, never silently overridden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import Disagreement, InvalidShape, VaryingDimTooSmall
 from .moduli import half_exact, quarter_exact, siegel_dim, unitary_dim
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(namedtuple("Stratum", "kind params ambient_dim stratum_dim")):
     """One component of the multiply-decomposable locus."""
 
-    kind: str
-    params: tuple[int, ...]
-    ambient_dim: int
-    stratum_dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.stratum_dim > self.ambient_dim:
+    def __new__(cls, kind: str, params: tuple[int, ...], ambient_dim: int, stratum_dim: int) -> Stratum:
+        self = super().__new__(cls, kind, params, ambient_dim, stratum_dim)
+        if stratum_dim > ambient_dim:
             raise ValueError(f"stratum dimension exceeds ambient: {self}")
+        return self
 
     @property
     def codim(self) -> int:
@@ -69,8 +67,7 @@ class Stratum:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionShape:
+class DecompositionShape(namedtuple("DecompositionShape", "fixed_dims varying_dims")):
     """Fixed factor dimensions plus varying factor dimensions.
 
     This is also the symplectic family spec (``planner.SymplecticFamily``).
@@ -79,37 +76,30 @@ class DecompositionShape:
     each of dimension at least 2.
     """
 
-    fixed_dims: tuple[int, ...]
-    varying_dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.varying_dims:
+    def __new__(cls, fixed_dims: tuple[int, ...], varying_dims: tuple[int, ...]) -> DecompositionShape:
+        if not varying_dims:
             raise VaryingDimTooSmall("at least one varying factor is required")
-        if any(d < 2 for d in self.varying_dims):
-            raise VaryingDimTooSmall(f"varying dimensions must be >= 2, got {self.varying_dims}")
-        if any(d < 1 for d in self.fixed_dims):
-            raise InvalidShape(f"fixed dimensions must be >= 1, got {self.fixed_dims}")
-        object.__setattr__(self, "fixed_dims", tuple(sorted(self.fixed_dims)))
-        object.__setattr__(self, "varying_dims", tuple(sorted(self.varying_dims)))
+        if any(d < 2 for d in varying_dims):
+            raise VaryingDimTooSmall(f"varying dimensions must be >= 2, got {varying_dims}")
+        if any(d < 1 for d in fixed_dims):
+            raise InvalidShape(f"fixed dimensions must be >= 1, got {fixed_dims}")
+        return super().__new__(cls, tuple(sorted(fixed_dims)), tuple(sorted(varying_dims)))
 
     @property
     def total_g(self) -> int:
         return sum(self.fixed_dims) + sum(self.varying_dims)
 
 
-@dataclass(frozen=True)
-class MinCodim:
+class MinCodim(namedtuple("MinCodim", "codim witness closed_form agrees notes", defaults=((),))):
     """Minimum codimension over a stratum family, with audit trail.
 
     ``closed_form`` is the published formula's value where one applies;
     ``agrees`` records whether the computed minimum matches it.
     """
 
-    codim: int
-    witness: Stratum
-    closed_form: int | None
-    agrees: bool
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def _check_two_paths(closed: int, raw: int, label: str) -> int:

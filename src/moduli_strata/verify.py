@@ -9,8 +9,7 @@ suppressed: they flip the ``agree`` flag and drive the exit code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
 
 from .errors import GroundTooSmall
 from .hecke_groups import (
@@ -39,16 +38,20 @@ from .strata import (
 )
 
 
-@dataclass
 class CaseRecord:
     """One verified case: the input, both values, and the verdict."""
 
-    input: dict
-    expected: int | None
-    computed: int
-    agree: bool
-    witness: object = None
-    note: str = ""
+    __slots__ = ("input", "expected", "computed", "agree", "witness", "note")
+
+    def __init__(
+        self, input: dict, expected: int | None, computed: int, agree: bool, witness: object = None, note: str = ""
+    ) -> None:
+        self.input = input
+        self.expected = expected
+        self.computed = computed
+        self.agree = agree
+        self.witness = witness
+        self.note = note
 
     def to_dict(self) -> dict:
         out = {
@@ -64,14 +67,16 @@ class CaseRecord:
         return out
 
 
-@dataclass
 class VerificationRun:
     """Outcome of one named suite over its parameter box."""
 
-    lemma_id: str
-    parameter_range: str
-    cases: list[CaseRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("lemma_id", "parameter_range", "cases", "notes")
+
+    def __init__(self, lemma_id: str, parameter_range: str) -> None:
+        self.lemma_id = lemma_id
+        self.parameter_range = parameter_range
+        self.cases: list[CaseRecord] = []
+        self.notes: list[str] = []
 
     @property
     def disagreements(self) -> list[CaseRecord]:
@@ -262,10 +267,10 @@ def run_translate_margin(g_max: int) -> VerificationRun:
     return run
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    runner: Callable[[int], VerificationRun]
-    default_g_max: int
+class CheckSpec(namedtuple("CheckSpec", "runner default_g_max")):
+    """A suite's runner, called with --g-max, and its default box."""
+
+    __slots__ = ()
 
 
 #: Every suite's box is empty below this --g-max (no dimension or ground
