@@ -28,7 +28,6 @@ from .planner import (
     kodaira_budget,
     plan_family,
     realize_group,
-    spec_to_dict,
 )
 from .strata import (
     DecompositionShape,
@@ -197,6 +196,92 @@ def _render_text(payload: dict) -> str:
     return "\n".join([head, *_render_lines(body)]) + "\n"
 
 
+# Each record's report shape lives here alone; text output keeps the key order.
+
+
+def _stratum_dict(stratum) -> dict:
+    return {
+        "kind": stratum.kind,
+        "params": list(stratum.params),
+        "ambient_dim": stratum.ambient_dim,
+        "stratum_dim": stratum.stratum_dim,
+        "codim": stratum.codim,
+    }
+
+
+def _spec_dict(spec) -> dict:
+    # "level" and "field_label" stay in the report format as constants: no
+    # number depends on the level structure or on the name of the field.
+    if isinstance(spec, SymplecticFamily):
+        return {
+            "flavor": "symplectic",
+            "fixed_dims": list(spec.fixed_dims),
+            "varying_dims": list(spec.varying_dims),
+            "level": 3,
+        }
+    return {
+        "flavor": "unitary",
+        "elliptic_count": spec.elliptic_count,
+        "p": spec.p,
+        "q": spec.q,
+        "field_label": "L",
+        "level": 3,
+    }
+
+
+def _atom_dict(atom) -> dict:
+    if isinstance(atom, SpAtom):
+        return {"kind": "sp", "rank": atom.rank, "dim": atom.dim}
+    return {"kind": "su_form", "p": atom.p, "q": atom.q, "dim": atom.dim}
+
+
+def _plan_dict(report) -> dict:
+    return {
+        "spec": _spec_dict(report.spec),
+        "total_g": report.total_g,
+        "ambient_dim": report.ambient_dim,
+        "mdec_codim": report.mdec.codim,
+        "mdec_witness": _stratum_dict(report.mdec.witness),
+        "mdec_closed_form": report.mdec.closed_form,
+        "mdec_agrees": report.mdec.agrees,
+        "boundary_codim": report.boundary.codim,
+        "boundary_exact": report.boundary.exact,
+        "budget": report.budget,
+        "d_max": report.d_max,
+        "monodromy": report.monodromy.label,
+        "monodromy_atoms": [_atom_dict(a) for a in report.monodromy.atoms],
+        "monodromy_dim": report.monodromy_dim,
+        "hecke_margin": report.hecke_margin,
+        "feasible": report.feasible,
+    }
+
+
+def _kodaira_dict(report) -> dict:
+    return {
+        "fiber_genus": report.fiber_genus,
+        "spec": _spec_dict(report.spec),
+        "mdec_codim": report.mdec.codim,
+        "mdec_witness": _stratum_dict(report.mdec.witness),
+        "boundary_codim": report.boundary.codim,
+        "boundary_exact": report.boundary.exact,
+        "torelli_codim": report.torelli_codim,
+        "post_torelli_budget": report.post_torelli_budget,
+        "feasible": report.feasible,
+        "monodromy": report.monodromy.label,
+        "monodromy_dim": report.monodromy.dim,
+    }
+
+
+def _case_dict(case) -> dict:
+    inputs, expected, computed, agree, witness, note = case
+    out = {"input": inputs, "expected": expected, "computed": computed, "agree": agree}
+    if witness is not None:
+        out["witness"] = witness
+    if note:
+        out["note"] = note
+    return out
+
+
 def _fixed_needs_varying(args: argparse.Namespace) -> None:
     if args.fixed and args.unitary is not None:
         raise UsageError("--fixed applies only with --varying")
@@ -223,7 +308,7 @@ def _feasibility_code(args: argparse.Namespace, report) -> int:
 def _cmd_plan(args: argparse.Namespace) -> CommandReport:
     spec = _build_spec(args)
     report = plan_family(spec)
-    return spec_to_dict(spec), report.to_dict(), list(report.notes), _feasibility_code(args, report)
+    return _spec_dict(spec), _plan_dict(report), list(report.notes), _feasibility_code(args, report)
 
 
 def _cmd_strata(args: argparse.Namespace) -> CommandReport:
@@ -249,14 +334,14 @@ def _cmd_strata(args: argparse.Namespace) -> CommandReport:
     result = {
         "ambient_dim": strata[0].ambient_dim,
         "count": len(strata),
-        "strata": [s.to_dict() for s in strata],
+        "strata": [_stratum_dict(s) for s in strata],
         "min_codim": minimum.codim,
-        "witness": minimum.witness.to_dict(),
+        "witness": _stratum_dict(minimum.witness),
         "closed_form": minimum.closed_form,
         "agrees": minimum.agrees,
     }
     if args.witness_all:
-        result["minimizers"] = [s.to_dict() for s in strata if s.codim == minimum.codim]
+        result["minimizers"] = [_stratum_dict(s) for s in strata if s.codim == minimum.codim]
     return inputs, result, list(minimum.notes), EXIT_OK if minimum.agrees else EXIT_DISAGREEMENT
 
 
@@ -299,16 +384,16 @@ def _cmd_verify(args: argparse.Namespace) -> CommandReport:
     result = {"lemma_id": run.lemma_id, "parameter_range": run.parameter_range, "summary": summary}
     # JSON lists every case; the human digest lists every disagreement, verbatim
     if args.json:
-        result["cases"] = [c.to_dict() for c in run.cases]
+        result["cases"] = [_case_dict(c) for c in run.cases]
     else:
-        result["disagreements"] = [c.to_dict() for c in disagreements]
+        result["disagreements"] = [_case_dict(c) for c in disagreements]
     inputs = {"lemma_id": args.lemma_id, "g_max": args.g_max}
     return inputs, result, run.notes, EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
 def _cmd_kodaira(args: argparse.Namespace) -> CommandReport:
     report = kodaira_budget(args.genus)
-    return {"genus": args.genus}, report.to_dict(), list(report.notes), _feasibility_code(args, report)
+    return {"genus": args.genus}, _kodaira_dict(report), list(report.notes), _feasibility_code(args, report)
 
 
 def _cmd_realize(args: argparse.Namespace) -> CommandReport:
@@ -320,13 +405,13 @@ def _cmd_realize(args: argparse.Namespace) -> CommandReport:
     spec = realize_group(target, args.g)
     report = plan_family(spec)
     result = {
-        "spec": spec_to_dict(spec),
+        "spec": _spec_dict(spec),
         "monodromy": report.monodromy.label,
         "round_trip_ok": report.monodromy == target,
         "d_max": report.d_max,
         "total_g": report.total_g,
     }
-    return inputs, result, list(report.notes), EXIT_OK
+    return inputs, result, list(report.notes), EXIT_OK if result["round_trip_ok"] else EXIT_DISAGREEMENT
 
 
 _COMMANDS = {

@@ -94,52 +94,6 @@ class PlanReport(
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": spec_to_dict(self.spec),
-            "total_g": self.total_g,
-            "ambient_dim": self.ambient_dim,
-            "mdec_codim": self.mdec.codim,
-            "mdec_witness": self.mdec.witness.to_dict(),
-            "mdec_closed_form": self.mdec.closed_form,
-            "mdec_agrees": self.mdec.agrees,
-            "boundary_codim": self.boundary.codim,
-            "boundary_exact": self.boundary.exact,
-            "budget": self.budget,
-            "d_max": self.d_max,
-            "monodromy": self.monodromy.label,
-            "monodromy_atoms": [atom_to_dict(a) for a in self.monodromy.atoms],
-            "monodromy_dim": self.monodromy_dim,
-            "hecke_margin": self.hecke_margin,
-            "feasible": self.feasible,
-        }
-
-
-def spec_to_dict(spec: FamilySpec) -> dict:
-    # "level" and "field_label" stay in the report format as constants: no
-    # number depends on the level structure or on the name of the field.
-    if isinstance(spec, SymplecticFamily):
-        return {
-            "flavor": "symplectic",
-            "fixed_dims": list(spec.fixed_dims),
-            "varying_dims": list(spec.varying_dims),
-            "level": 3,
-        }
-    return {
-        "flavor": "unitary",
-        "elliptic_count": spec.elliptic_count,
-        "p": spec.p,
-        "q": spec.q,
-        "field_label": "L",
-        "level": 3,
-    }
-
-
-def atom_to_dict(atom) -> dict:
-    if isinstance(atom, SpAtom):
-        return {"kind": "sp", "rank": atom.rank, "dim": atom.dim}
-    return {"kind": "su_form", "p": atom.p, "q": atom.q, "dim": atom.dim}
-
 
 def plan_family(spec: FamilySpec) -> PlanReport:
     """Compute the full dimension budget and monodromy for a family spec.
@@ -257,21 +211,6 @@ class KodairaReport(
     """
 
     __slots__ = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "fiber_genus": self.fiber_genus,
-            "spec": spec_to_dict(self.spec),
-            "mdec_codim": self.mdec.codim,
-            "mdec_witness": self.mdec.witness.to_dict(),
-            "boundary_codim": self.boundary.codim,
-            "boundary_exact": self.boundary.exact,
-            "torelli_codim": self.torelli_codim,
-            "post_torelli_budget": self.post_torelli_budget,
-            "feasible": self.feasible,
-            "monodromy": self.monodromy.label,
-            "monodromy_dim": self.monodromy.dim,
-        }
 
 
 def kodaira_budget(fiber_genus: int) -> KodairaReport:

@@ -57,15 +57,6 @@ class Stratum(namedtuple("Stratum", "kind params ambient_dim stratum_dim")):
     def sort_key(self) -> tuple[int, str, tuple[int, ...]]:
         return (self.codim, self.kind, self.params)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": list(self.params),
-            "ambient_dim": self.ambient_dim,
-            "stratum_dim": self.stratum_dim,
-            "codim": self.codim,
-        }
-
 
 class DecompositionShape(namedtuple("DecompositionShape", "fixed_dims varying_dims")):
     """Fixed factor dimensions plus varying factor dimensions.

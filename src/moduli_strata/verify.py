@@ -38,33 +38,10 @@ from .strata import (
 )
 
 
-class CaseRecord:
+class CaseRecord(namedtuple("CaseRecord", "input expected computed agree witness note", defaults=(None, ""))):
     """One verified case: the input, both values, and the verdict."""
 
-    __slots__ = ("input", "expected", "computed", "agree", "witness", "note")
-
-    def __init__(
-        self, input: dict, expected: int | None, computed: int, agree: bool, witness: object = None, note: str = ""
-    ) -> None:
-        self.input = input
-        self.expected = expected
-        self.computed = computed
-        self.agree = agree
-        self.witness = witness
-        self.note = note
-
-    def to_dict(self) -> dict:
-        out = {
-            "input": self.input,
-            "expected": self.expected,
-            "computed": self.computed,
-            "agree": self.agree,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note:
-            out["note"] = self.note
-        return out
+    __slots__ = ()
 
 
 class VerificationRun:

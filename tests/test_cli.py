@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from moduli_strata import cli, hecke_groups, planner, strata, verify
 from moduli_strata.cli import build_parser, run
 from moduli_strata.errors import GroundTooSmall
-from moduli_strata.moduli import BoundaryCodim
+from moduli_strata.moduli import BoundaryCodim, GroupExpr, SpAtom
 from stdout_digest import LISTING, digest, recorded
 
 #: Requests whose output earlier refactors pinned; each must stay a line of
@@ -130,6 +130,13 @@ class TestExitCodes:
         code, out, err = invoke(capsys, ["kodaira", "--genus", "4", "--json"])
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
+
+    def test_failed_realize_round_trip_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(planner, "derived_mt", lambda spec: GroupExpr.of([SpAtom(1)]))
+        code, out, err = invoke(capsys, ["realize", "--varying", "2,3", "--g", "6", "--json"])
+        assert code == 2 and err == ""
+        result = json.loads(out)["result"]
+        assert result["round_trip_ok"] is False and result["monodromy"] == "Sp(2)"
 
     def test_product_minimum_mismatch_is_reported(self, capsys, monkeypatch):
         closed = strata.fixedpart_closed_form

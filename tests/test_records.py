@@ -1,4 +1,4 @@
-"""The package's records: immutable named tuples and two mutable report builders.
+"""The package's records: immutable named tuples and one mutable report builder.
 
 Records are ``collections.namedtuple`` subclasses, so importing the CLI
 does not load ``dataclasses``; these tests pin what a record type change
@@ -17,6 +17,7 @@ import pytest
 import moduli_strata
 from moduli_strata import (
     BoundaryCodim,
+    CaseRecord,
     DecompositionShape,
     GroupExpr,
     IntersectionMatrix,
@@ -97,6 +98,7 @@ def _every_record():
         plan,
         kodaira_budget(4),
         CHECKS["L3.1"],
+        CaseRecord({"g": 2}, 6, 6, True),
     ]
 
 
