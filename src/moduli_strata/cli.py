@@ -67,9 +67,9 @@ def _dims(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(x) for x in text.split(",") if x != "")
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated list of integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}") from exc
     if not values:
-        raise UsageError(f"empty dimension list: {text!r}")
+        raise argparse.ArgumentTypeError(f"empty dimension list: {text!r}")
     total = sum(v for v in values if v > 0)
     if total > MAX_DIM:
         raise argparse.ArgumentTypeError(f"dimensions add up to {total}, above the limit {MAX_DIM}")
@@ -90,7 +90,7 @@ def _at_most(limit: int):
 def _pq(text: str) -> tuple[int, int]:
     values = _dims(text)
     if len(values) != 2:
-        raise UsageError(f"--unitary expects p,q, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected p,q, got {text!r}")
     return values[0], values[1]
 
 
@@ -147,6 +147,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _reject_inapplicable(parser: _Parser, args: argparse.Namespace) -> None:
+    # subcommands without these flags leave them unset; "--elliptic 0" counts as given
+    if getattr(args, "fixed", ()) and getattr(args, "unitary", None) is not None:
+        parser.error("--fixed applies only with --varying")
+    if getattr(args, "elliptic", None) is not None and getattr(args, "varying", None) is not None:
+        parser.error("--elliptic applies only with --unitary")
+
+
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     # JSON goes out in blocks of encoder chunks: ``json.dumps`` joins these
     # same chunks, so the bytes match while a multi-megabyte report is never
@@ -162,7 +170,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(blocks)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
+            raise UsageError(f"argument --out: cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.writelines(blocks)
 
@@ -282,21 +290,6 @@ def _case_dict(case) -> dict:
     return out
 
 
-def _fixed_needs_varying(args: argparse.Namespace) -> None:
-    if args.fixed and args.unitary is not None:
-        raise UsageError("--fixed applies only with --varying")
-
-
-def _build_spec(args: argparse.Namespace):
-    _fixed_needs_varying(args)
-    if args.unitary is not None:
-        p, q = args.unitary
-        return UnitaryFamily(elliptic_count=args.elliptic or 0, p=p, q=q)
-    if args.elliptic is not None:
-        raise UsageError("--elliptic applies only with --unitary")
-    return SymplecticFamily(fixed_dims=args.fixed, varying_dims=args.varying)
-
-
 #: What each handler returns: input echo, result, notes and exit code.
 CommandReport = tuple[dict, dict, list[str], int]
 
@@ -306,13 +299,15 @@ def _feasibility_code(args: argparse.Namespace, report) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> CommandReport:
-    spec = _build_spec(args)
+    if args.unitary is not None:
+        spec = UnitaryFamily(args.elliptic or 0, *args.unitary)
+    else:
+        spec = SymplecticFamily(args.fixed, args.varying)
     report = plan_family(spec)
     return _spec_dict(spec), _plan_dict(report), list(report.notes), _feasibility_code(args, report)
 
 
 def _cmd_strata(args: argparse.Namespace) -> CommandReport:
-    _fixed_needs_varying(args)
     if args.unitary is not None:
         p, q = args.unitary
         strata = strata_of_unitary(p, q)
@@ -347,8 +342,6 @@ def _cmd_strata(args: argparse.Namespace) -> CommandReport:
 
 def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
     g = args.g
-    if g < 2:
-        raise UsageError("gamma needs --g >= 2")
     maximum = max_product_dim(g)
     classes = [
         {
@@ -429,6 +422,7 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
+        _reject_inapplicable(parser, args)
         inputs, result, notes, code = _COMMANDS[args.command](args)
         payload = {
             "tool": TOOL_NAME,
@@ -443,7 +437,11 @@ def run(argv: Sequence[str]) -> int:
     except Disagreement as exc:
         sys.stderr.write(f"{TOOL_NAME}: disagreement: {exc}\n")
         return EXIT_DISAGREEMENT
-    except (UsageError, DimensionCalculusError) as exc:
+    except DimensionCalculusError as exc:
+        # a rule of the library, named under the subcommand that broke it
+        sys.stderr.write(f"{TOOL_NAME}: error: {args.command}: {exc}\n")
+        return EXIT_USAGE
+    except UsageError as exc:
         sys.stderr.write(f"{TOOL_NAME}: error: {exc}\n")
         return EXIT_USAGE
 

@@ -20,10 +20,10 @@ Inside a unitary moduli space with parameters (p, q):
 * ``unitary_noncm(k)`` -- the repeated factor carries no field action,
   1 <= k <= min(p, q); dimension k(k+1)/2 + (p-k)(q-k).
 
-Every stratum dimension is computed twice: from raw sums of moduli-space
-dimensions and (where one exists) from the closed form, and the two must
-agree.  Minima over strata are compared against published closed-form
-minima; a disagreement is reported, never silently overridden.
+Every stratum codimension is computed twice: from raw sums of
+moduli-space dimensions and from the closed form, and the two must agree.
+Minima over strata are compared against published closed-form minima; a
+disagreement is reported, never silently overridden.
 """
 
 from __future__ import annotations
@@ -237,11 +237,12 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
 def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
     """Strata of the repeated-factor locus in a unitary moduli space.
 
-    unitary_cm dimensions are cross-checked against the expanded form
-    pq - pl - kq + 5kl/4.  unitary_noncm dimensions use the raw sum
-    k(k+1)/2 + (p-k)(q-k) only: the half-weight closed form
-    pq - k(p+q - 3k/2 - 1/2)/2 disagrees with that sum (its correction
-    term is off by a factor of two) and is not used.
+    Each codimension from the raw dimension sums is checked against its
+    expansion: pl + kq - 5kl/4 for unitary_cm, k(p+q) - k(3k+1)/2 for
+    unitary_noncm (whose raw dimension is k(k+1)/2 + (p-k)(q-k)).  The
+    half-weight closed form pq - k(p+q - 3k/2 - 1/2)/2 of the noncm
+    dimension disagrees with the raw sum (its correction term is off by a
+    factor of two) and is not used.
     """
     if p < 1 or q < 1:
         raise InvalidShape(f"unitary parameters must be >= 1, got ({p}, {q})")
@@ -249,16 +250,15 @@ def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
     out: list[Stratum] = []
     for k in range(0, p + 1, 2):
         for l in range(0, q + 1, 2):
-            if k + l < 2:
-                continue
-            raw = unitary_dim(k // 2, l // 2) + unitary_dim(p - k, q - l)
-            closed = ambient - p * l - k * q + quarter_exact(5 * k * l)
-            if closed != raw:
-                raise Disagreement(f"cm stratum paths disagree at ({k},{l})", closed=closed, raw=raw)
-            out.append(Stratum("unitary_cm", (k, l), ambient, raw))
+            if k + l >= 2:
+                raw = ambient - unitary_dim(k // 2, l // 2) - unitary_dim(p - k, q - l)
+                closed = p * l + k * q - quarter_exact(5 * k * l)
+                codim = _check_two_paths(closed, raw, f"unitary_cm({k}, {l}) at ({p}, {q})")
+                out.append(Stratum("unitary_cm", (k, l), ambient, ambient - codim))
     for k in range(1, min(p, q) + 1):
-        raw = siegel_dim(k) + unitary_dim(p - k, q - k)
-        out.append(Stratum("unitary_noncm", (k,), ambient, raw))
+        raw = ambient - siegel_dim(k) - unitary_dim(p - k, q - k)
+        codim = _check_two_paths(k * (p + q) - half_exact(k * (3 * k + 1)), raw, f"unitary_noncm({k}) at ({p}, {q})")
+        out.append(Stratum("unitary_noncm", (k,), ambient, ambient - codim))
     out.sort(key=Stratum.sort_key)
     return tuple(out)
 

@@ -275,6 +275,6 @@ def run_check(check_id: str, g_max: int | None = None) -> VerificationRun:
     run = spec.runner(g_max if g_max is not None else spec.default_g_max)
     if not run.cases:
         raise GroundTooSmall(
-            f"verify {check_id} checks no case at --g-max {g_max}; the smallest box is --g-max {MIN_G_MAX}"
+            f"{check_id} checks no case at --g-max {g_max}; the smallest box is --g-max {MIN_G_MAX}"
         )
     return run

@@ -26,6 +26,7 @@ from pathlib import Path
 from moduli_strata.cli import run
 
 LISTING = Path(__file__).with_name("golden_stdout.txt")
+SUBCOMMANDS = {"plan", "strata", "gamma", "verify", "kodaira", "realize"}
 
 
 def recorded(text: str) -> dict[str, str]:
@@ -34,13 +35,28 @@ def recorded(text: str) -> dict[str, str]:
     return {line.split(" ", 3)[3]: line for line in lines}
 
 
-def digest(argv: str) -> str:
-    """The listing line of one request."""
+def outcome(argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one request."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv.split(" "))
-    digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv: str) -> str:
+    """The listing line of one request."""
+    code, *streams = outcome(argv)
+    digests = (hashlib.sha256(s.encode()).hexdigest() for s in streams)
     return " ".join([str(code), *digests, argv])
+
+
+def names_its_input(err: str) -> bool:
+    """Whether stderr is one usage-error line naming an argument, a flag or the subcommand."""
+    prefix = "moduli-strata: error: "
+    if not (err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1):
+        return False
+    message = err[len(prefix):]
+    return message.startswith("argument ") or "--" in message or message.split(": ")[0] in SUBCOMMANDS
 
 
 def changed(listing: dict[str, str]) -> list[str]:

@@ -13,7 +13,7 @@ from moduli_strata import cli, hecke_groups, planner, strata, verify
 from moduli_strata.cli import build_parser, run
 from moduli_strata.errors import GroundTooSmall
 from moduli_strata.moduli import BoundaryCodim, GroupExpr, SpAtom
-from stdout_digest import LISTING, digest, recorded
+from stdout_digest import LISTING, digest, names_its_input, recorded
 
 #: Requests whose output earlier refactors pinned; each must stay a line of
 #: the golden listing and reproduce it.  The digests live only in the listing.
@@ -118,6 +118,14 @@ class TestExitCodes:
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
         assert "closed 4, raw 3" in err
+
+    def test_noncm_two_path_disagreement_exits_2(self, capsys, monkeypatch):
+        # of the unitary strata only unitary_noncm reads siegel_dim; k = 1 at (2, 3) has codimension 3
+        monkeypatch.setattr(strata, "siegel_dim", lambda g: g * (g + 1) // 2 + 1)
+        code, out, err = invoke(capsys, ["strata", "--unitary", "2,3", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
+        assert "unitary_noncm(1) at (2, 3): closed 3, raw 2" in err
 
     def test_budget_disagreement_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(planner, "siegel_boundary_codim", lambda g: BoundaryCodim(1, exact=True))
@@ -373,7 +381,9 @@ class TestOutputTargets:
             (["realize", "--g", "5"], "one of the arguments --varying --unitary is required"),
             (["plan", "--varying", "3", "--witness-all"], "unrecognized arguments: --witness-all"),
             (["verify", "L3.1", "--witness-all"], "unrecognized arguments: --witness-all"),
-            (["gamma", "--g", "1"], "gamma needs --g >= 2"),
+            (["gamma", "--g", "1"], "gamma: need g >= 2, got 1"),
+            (["gamma", "--g", "0"], "gamma: need g >= 2, got 0"),
+            (["gamma", "--g", "-3"], "gamma: need g >= 2, got -3"),
             (["kodaira", "--genus", "4", "--witness-all"], "unrecognized arguments: --witness-all"),
             (["realize", "--varying", "2", "--g", "3", "--witness-all"], "unrecognized arguments: --witness-all"),
         ],
@@ -388,7 +398,7 @@ class TestOutputTargets:
         target = tmp_path / "missing" / "x"
         code, out, err = invoke(capsys, ["plan", "--varying", "3", "--out", str(target)])
         assert code == 1 and out == "" and not target.exists()
-        assert err.startswith(f"moduli-strata: error: cannot write {target}")
+        assert err.startswith(f"moduli-strata: error: argument --out: cannot write {target}")
 
     @pytest.mark.parametrize("lemma,g_max", [("L5.5", 1), ("L3.1", -3), ("C5.6", 1), ("C5.3-increment", 0)])
     def test_empty_verify_box_is_usage_error(self, capsys, lemma, g_max):
@@ -403,9 +413,10 @@ class TestOutputTargets:
         assert verify.run_check(lemma, verify.MIN_G_MAX).cases
 
     def test_elliptic_needs_unitary(self, capsys):
-        code, out, err = invoke(capsys, ["plan", "--varying", "3", "--elliptic", "-2"])
-        assert code == 1 and out == ""
-        assert err.startswith("moduli-strata: error: ") and "--elliptic" in err
+        for elliptic in ("-2", "0"):  # 0 is falsy, yet given
+            code, out, err = invoke(capsys, ["plan", "--varying", "3", "--elliptic", elliptic])
+            assert code == 1 and out == ""
+            assert err.startswith("moduli-strata: error: ") and "--elliptic" in err
 
 
 class TestInputLimits:
@@ -507,3 +518,5 @@ class TestArgvFuzz:
             code = run(argv)
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert names_its_input(err.getvalue()), err.getvalue()

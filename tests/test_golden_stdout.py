@@ -4,10 +4,9 @@ import ast
 from pathlib import Path
 
 from moduli_strata import planner, verify
-from stdout_digest import LISTING, changed, header, recorded
+from stdout_digest import LISTING, SUBCOMMANDS, changed, header, names_its_input, outcome, recorded
 
 ROOT = Path(__file__).resolve().parents[1]
-SUBCOMMANDS = {"plan", "strata", "gamma", "verify", "kodaira", "realize"}
 
 
 def hollow(text: str) -> list[str]:
@@ -33,6 +32,12 @@ def test_listing_is_not_hollow():
     assert hollow(text) == []
     assert hollow("".join(text.splitlines(keepends=True)[:-1])) == ["request count"]
     assert hollow("") == ["request count", "0", "1", "2", "3", *sorted(SUBCOMMANDS), *sorted(verify.CHECKS)]
+
+
+def test_every_listed_usage_error_names_its_input():
+    usage_errors = [argv for argv, line in recorded(LISTING.read_text()).items() if line.startswith("1 ")]
+    unnamed = [f"{argv}: {err!r}" for argv in usage_errors if not names_its_input(err := outcome(argv)[2])]
+    assert unnamed == []
 
 
 def test_guard_names_exactly_the_changed_requests(monkeypatch):
