@@ -362,7 +362,7 @@ def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
         "partition_classes": classes,
     }
     if args.witness_all:
-        result["maximizers"] = [[list(r) for r in m.entries] for m in maximum.all_witnesses]
+        result["maximizers"] = [result["witness"]]
     notes = ["translate codimensions depend only on the block-size multiset"]
     return {"g": g}, result, notes, EXIT_OK if result["agrees"] else EXIT_DISAGREEMENT
 

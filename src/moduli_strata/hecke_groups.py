@@ -15,17 +15,16 @@ each distinct restriction is weighed once per sweep.  The same number can
 be read off the intersection matrix alone: row sums, column sums and
 nonzero entries contribute with the l(2l+1) weight.
 
-Two maximizers over all proper pairs are provided: exhaustive enumeration
-of canonical intersection-matrix types (complete for ground sizes up to 8)
-and a memoized best-completion search over column structures that scales
-further.  Above 8 the witness is the two-block matrix ((g-2, 1), (1, 0)),
-certified by checking that it attains the search value.  The pair sweep
-checks both on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per
-block-size class, since relabelling both partitions leaves the product
-unchanged.
+``max_product_dim`` takes its value from a memoized best-completion search
+over column structures at every ground size, and its witness is always the
+two-block matrix ((g-2, 1), (1, 0)), the only maximizer type (see
+``gamma_gamma_codim``); up to 8 every canonical intersection-matrix type is
+also enumerated as a cross-check of both.  The pair sweep checks the value
+on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per block-size class,
+since relabelling both partitions leaves the product unchanged.
 
 The translate codimension has the closed form 4(g - largest block); the
-completion search serves only ``max_product_dim`` for g > 8 and C5.6.
+completion search serves ``max_product_dim`` and C5.6.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
     return gamma_dim(matrix.row_sums) + gamma_dim(matrix.col_sums) - gamma_dim(cells)
 
 
-class MaxProductDim(namedtuple("MaxProductDim", "value witness all_witnesses")):
-    """Maximum product dimension with a canonical witness matrix."""
+class MaxProductDim(namedtuple("MaxProductDim", "value witness")):
+    """Maximum product dimension with its witness, the two-block matrix."""
 
     __slots__ = ()
 
@@ -109,29 +108,27 @@ EXHAUSTIVE_LIMIT = 8
 def max_product_dim(g: int) -> MaxProductDim:
     """Maximize the product dimension over all proper partition pairs.
 
-    Ground sizes up to EXHAUSTIVE_LIMIT exhaust canonical matrix types, which
-    come in canonical order: every tie is kept and the first is the witness.
-    Larger ones take the value of the memoized completion search and the
-    two-block witness ((g-2, 1), (1, 0)), the only maximizer type wherever
-    types are exhausted; a witness that does not attain the search value
-    raises ``Disagreement``.
+    The value is 2g^2 + g minus the least translate codimension found by
+    the memoized completion search.  The codimension of a pair is
+    4 #{edges of K(lam) cut by mu} (see ``gamma_gamma_codim``), at least
+    4(g - largest block of lam) and so at least 4.  Equality forces
+    lam = (g-1, 1), whose K(lam) is a star, and a mu that splits off one
+    leaf: the two-block matrix ((g-2, 1), (1, 0)) is the only maximizer
+    type, and the witness at every g.  It must attain the search value; up
+    to EXHAUSTIVE_LIMIT it must also be the only canonical matrix type at
+    or above it.  Either failure raises ``Disagreement``.
     """
-    if g <= EXHAUSTIVE_LIMIT:
-        best = -1
-        winners: list[IntersectionMatrix] = []
-        for matrix in enumerate_matrix_types(g):
-            value = product_dim_from_matrix(matrix)
-            if value > best:
-                best, winners = value, [matrix]
-            elif value == best:
-                winners.append(matrix)
-        return MaxProductDim(best, winners[0], tuple(winners))
+    types = enumerate_matrix_types(g) if g <= EXHAUSTIVE_LIMIT else []
     value = sp_dim(g) - min(gamma_gamma_codim_by_search(s) for s in integer_partitions(g) if len(s) > 1)
     witness = IntersectionMatrix(((g - 2, 1), (1, 0)))
     attained = product_dim_from_matrix(witness)
     if attained != value:
         raise Disagreement(f"two-block witness at g = {g}", search_optimum=value, witness_attains=attained)
-    return MaxProductDim(value, witness, (witness,))
+    reached = [m for m in types if product_dim_from_matrix(m) >= value]
+    if types and reached != [witness]:
+        found = "; ".join(f"{m.entries} attains {product_dim_from_matrix(m)}" for m in reached)
+        raise Disagreement(f"matrix types at g = {g}", search_optimum=value, types_at_or_above=found)
+    return MaxProductDim(value, witness)
 
 
 def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:

@@ -217,8 +217,7 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
     gv1 = dims[0]
     if codim < gv1:
         raise Disagreement(f"fixed-part minimum below its bound for {shape}", minimum=codim, bound=gv1)
-    # excluded pairs exist exactly where the closed form is not asserted
-    closed = None if excluded else fixedpart_closed_form(shape)
+    closed = fixedpart_closed_form(shape)
     agrees = closed is None or codim == closed
     notes: list[str] = []
     if excluded:

@@ -174,8 +174,9 @@ PAIR_SWEEP_LIMIT = 9
 def run_max_product(g_max: int) -> VerificationRun:
     """Maximum product dimension equals 2g^2 + g - 4.
 
-    Canonical matrix types are exhausted up to g = 8 and the completion
-    search runs above it; up to PAIR_SWEEP_LIMIT the value is also
+    The maximizer takes the completion-search value at every g; up to
+    g = 8 the two-block witness must be the only canonical matrix type
+    attaining it.  Up to PAIR_SWEEP_LIMIT the value is also
     recomputed by the direct pair sweep, whose note counts the
     (Bell(g) - 1)^2 pairs it covers by relabelling invariance, and the
     two-block witness family is checked to attain the maximum.

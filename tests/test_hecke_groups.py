@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduli_strata import hecke_groups
+from moduli_strata.cli import run
 from moduli_strata.errors import GroundMismatch, GroundTooSmall, NotProper
 from moduli_strata.hecke_groups import (
     gamma_dim,
@@ -130,8 +131,8 @@ class TestMaxProductDim:
         assert two_block_witness_value(g) == sp_dim(g) - 4
 
     def test_completion_route_matches_exhaustive(self):
-        # the scaling route used beyond the exhaustive limit agrees with
-        # full matrix-type enumeration wherever both run
+        # the scaling route that gives the maximizer its value agrees with
+        # full matrix-type enumeration wherever types are exhausted
         from moduli_strata.hecke_groups import _best_against
 
         for g in range(2, 9):
@@ -140,7 +141,7 @@ class TestMaxProductDim:
                 for sizes in integer_partitions(g)
                 if len(sizes) >= 2
             )
-            assert dp == max_product_dim(g).value
+            assert dp == max(map(product_dim_from_matrix, enumerate_matrix_types(g)))
 
     def test_large_ground_uses_completion_route(self):
         r = max_product_dim(10)
@@ -150,21 +151,23 @@ class TestMaxProductDim:
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_two_block_type_is_the_only_maximizer(self, g):
-        # why the two-block matrix is the witness beyond the exhaustive limit
-        r = max_product_dim(g)
-        assert r.all_witnesses == (IntersectionMatrix(((g - 2, 1), (1, 0))),)
+        # why the two-block matrix is the witness at every g
+        values = {m: product_dim_from_matrix(m) for m in enumerate_matrix_types(g)}
+        best = max(values.values())
+        assert [m for m, v in values.items() if v == best] == [IntersectionMatrix(((g - 2, 1), (1, 0)))]
 
-    def test_collect_all_lists_every_maximizer(self):
-        r = max_product_dim(4)
-        assert r.witness in r.all_witnesses
-        assert all(product_dim_from_matrix(m) == r.value for m in r.all_witnesses)
-
-    def test_ties_are_kept_in_canonical_order(self, monkeypatch):
-        # a constant value makes every type a maximizer
-        monkeypatch.setattr(hecke_groups, "product_dim_from_matrix", lambda matrix: 0)
-        r = max_product_dim(4)
-        assert r.all_witnesses == tuple(sorted(enumerate_matrix_types(4), key=IntersectionMatrix.sort_key))
-        assert r.witness == r.all_witnesses[0]
+    @pytest.mark.parametrize("shift", (0, 1), ids=("tie", "excess"))
+    def test_matrix_type_at_or_above_the_search_value_exits_2(self, capsys, monkeypatch, shift):
+        # a second type tying or exceeding the maximum fails the g <= 8 cross-check
+        real = hecke_groups.product_dim_from_matrix
+        rival = IntersectionMatrix(((1, 1), (1, 1)))
+        rival_value = sp_dim(4) - 4 + shift
+        monkeypatch.setattr(hecke_groups, "product_dim_from_matrix", lambda m: rival_value if m == rival else real(m))
+        code = run(["gamma", "--g", "4", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("moduli-strata: disagreement: matrix types at g = 4: ") and err.count("\n") == 1
+        assert f"search_optimum {sp_dim(4) - 4}," in err and f"{rival.entries} attains {rival_value}" in err
 
     def test_ground_too_small(self):
         with pytest.raises(GroundTooSmall):
