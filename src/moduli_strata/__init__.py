@@ -11,21 +11,7 @@ abelian varieties with prescribed connected monodromy group.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DimensionCalculusError,
-    Disagreement,
-    GenusTooSmall,
-    GroundMismatch,
-    GroundTooSmall,
-    InvalidShape,
-    NotProper,
-    RankTooSmall,
-    SpecInvalid,
-    TargetTooLarge,
-    UnitaryBoundViolated,
-    UnrealizableTarget,
-    VaryingDimTooSmall,
-)
+from .errors import DimensionCalculusError, Disagreement
 from .hecke_groups import (
     MaxProductDim,
     gamma_dim,
@@ -76,9 +62,7 @@ from .verify import CHECKS, CaseRecord, VerificationRun, run_check
 __all__ = [
     "__version__",
     # errors
-    "DimensionCalculusError", "Disagreement", "GenusTooSmall", "GroundMismatch",
-    "GroundTooSmall", "InvalidShape", "NotProper", "RankTooSmall", "SpecInvalid",
-    "TargetTooLarge", "UnitaryBoundViolated", "UnrealizableTarget", "VaryingDimTooSmall",
+    "DimensionCalculusError", "Disagreement",
     # partitions
     "IntersectionMatrix", "bell_number", "enumerate_proper_partitions", "enumerate_matrix_types", "meet",
     # moduli

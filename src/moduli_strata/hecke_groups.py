@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import Disagreement, GroundMismatch, GroundTooSmall, NotProper
+from .errors import DimensionCalculusError, Disagreement
 from .moduli import sp_dim
 from .partitions import (
     IntersectionMatrix,
@@ -85,7 +85,7 @@ def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tu
 def product_dim(lam: Partition, mu: Partition) -> int:
     """Dimension of the product of the two partition subgroups."""
     if len(lam) != len(mu):
-        raise GroundMismatch(f"ground sizes differ: {len(lam)} vs {len(mu)}")
+        raise DimensionCalculusError(f"ground sizes differ: {len(lam)} vs {len(mu)}")
     return _sweep([lam], [mu])[0]
 
 
@@ -146,7 +146,7 @@ def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:
 def two_block_witness_value(g: int) -> int:
     """Product dimension of the pair {1..g-1 | g} versus {1 | 2..g}."""
     if g < 2:
-        raise GroundTooSmall(f"need g >= 2, got {g}")
+        raise DimensionCalculusError(f"need g >= 2, got {g}")
     return _sweep([(0,) * (g - 1) + (1,)], [(0,) + (1,) * (g - 1)])[0]
 
 
@@ -208,9 +208,9 @@ def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
     if any(l < 1 for l in sizes):
         raise ValueError(f"block sizes must be >= 1, got {tuple(block_sizes)}")
     if sum(sizes) < 2:
-        raise GroundTooSmall(f"need g >= 2, got {sum(sizes)}")
+        raise DimensionCalculusError(f"need g >= 2, got {sum(sizes)}")
     if len(sizes) < 2:
-        raise NotProper("a proper partition is required")
+        raise DimensionCalculusError("a proper partition is required")
     return sizes
 
 

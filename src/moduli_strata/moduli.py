@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Union
 
-from .errors import GroundTooSmall, RankTooSmall, UnitaryBoundViolated
+from .errors import DimensionCalculusError
 
 
 def half_exact(n: int) -> int:
@@ -63,7 +63,7 @@ def siegel_boundary_codim(g: int) -> BoundaryCodim:
     """Exactly g: the boundary of the minimal compactification of the
     Siegel space is a chain of lower Siegel spaces."""
     if g < 1:
-        raise GroundTooSmall("boundary codimension needs g >= 1")
+        raise DimensionCalculusError("boundary codimension needs g >= 1")
     return BoundaryCodim(g, exact=True)
 
 
@@ -71,14 +71,14 @@ def unitary_boundary_codim(p: int, q: int) -> BoundaryCodim:
     """At least p+q-1: the boundary strata of the minimal compactification
     are the spaces (p-r, q-r), and pq - (p-1)(q-1) = p+q-1."""
     if p < 1 or q < 1:
-        raise GroundTooSmall("boundary codimension needs p, q >= 1")
+        raise DimensionCalculusError("boundary codimension needs p, q >= 1")
     return BoundaryCodim(p + q - 1, exact=False)
 
 
 def torelli_codim(g: int) -> int:
     """Codimension of the closure of the Jacobian locus: g(g+1)/2 - (3g-3)."""
     if g < 2:
-        raise GroundTooSmall(f"Torelli codimension needs g >= 2, got {g}")
+        raise DimensionCalculusError(f"Torelli codimension needs g >= 2, got {g}")
     return g * (g + 1) // 2 - (3 * g - 3)
 
 
@@ -94,7 +94,7 @@ class SpAtom(namedtuple("SpAtom", "rank")):
 
     def __new__(cls, rank: int) -> SpAtom:
         if rank < 1:
-            raise RankTooSmall(f"Sp atom rank must be >= 1, got {rank}")
+            raise DimensionCalculusError(f"Sp atom rank must be >= 1, got {rank}")
         return super().__new__(cls, rank)
 
     @property
@@ -113,7 +113,7 @@ class SUFormAtom(namedtuple("SUFormAtom", "p q")):
 
     def __new__(cls, p: int, q: int) -> SUFormAtom:
         if p < 1 or q < 1:
-            raise UnitaryBoundViolated(f"SU-form parameters must be >= 1, got ({p}, {q})")
+            raise DimensionCalculusError(f"SU-form parameters must be >= 1, got ({p}, {q})")
         return super().__new__(cls, p, q)
 
     @property

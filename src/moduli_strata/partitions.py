@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import GroundMismatch, GroundTooSmall
+from .errors import DimensionCalculusError
 
 #: A partition of {1, ..., g} as its block-id tuple (restricted growth string).
 Partition = tuple[int, ...]
@@ -43,7 +43,7 @@ def iter_all_partitions(g: int) -> Iterator[Partition]:
     Each is its restricted growth string: a[0] = 0 and a[i] <= max(a[:i]) + 1.
     """
     if g < 1:
-        raise GroundTooSmall(f"need g >= 1, got {g}")
+        raise DimensionCalculusError(f"need g >= 1, got {g}")
     a = [0] * g
 
     def rec(i: int, cur_max: int) -> Iterator[Partition]:
@@ -64,7 +64,7 @@ def enumerate_proper_partitions(g: int) -> list[Partition]:
     all-zero string, is the only one excluded.
     """
     if g < 2:
-        raise GroundTooSmall(f"no proper partition exists for g = {g}")
+        raise DimensionCalculusError(f"no proper partition exists for g = {g}")
     return [p for p in iter_all_partitions(g) if any(p)]
 
 
@@ -76,7 +76,7 @@ def block_sizes(partition: Partition) -> tuple[int, ...]:
 def meet(lam: Partition, mu: Partition) -> Partition:
     """Common refinement: blocks are the nonempty pairwise intersections."""
     if len(lam) != len(mu):
-        raise GroundMismatch(f"ground sizes differ: {len(lam)} vs {len(mu)}")
+        raise DimensionCalculusError(f"ground sizes differ: {len(lam)} vs {len(mu)}")
     cells: dict[tuple[int, int], int] = {}
     return tuple(cells.setdefault(cell, len(cells)) for cell in zip(lam, mu))
 
@@ -242,7 +242,7 @@ def enumerate_matrix_types(g: int) -> list[IntersectionMatrix]:
     ``canonical_entries`` cache hit.
     """
     if g < 2:
-        raise GroundTooSmall(f"need g >= 2, got {g}")
+        raise DimensionCalculusError(f"need g >= 2, got {g}")
     seen: set[tuple[tuple[int, ...], ...]] = set()
     margins = [p for p in integer_partitions(g) if len(p) >= 2]
     for row_sums in margins:

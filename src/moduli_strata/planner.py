@@ -19,14 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Union
 
-from .errors import (
-    Disagreement,
-    GenusTooSmall,
-    SpecInvalid,
-    TargetTooLarge,
-    UnitaryBoundViolated,
-    UnrealizableTarget,
-)
+from .errors import DimensionCalculusError, Disagreement
 from .hecke_groups import gamma_gamma_codim
 from .moduli import (
     GroupExpr,
@@ -60,11 +53,11 @@ class UnitaryFamily(namedtuple("UnitaryFamily", "elliptic_count p q")):
 
     def __new__(cls, elliptic_count: int, p: int, q: int) -> UnitaryFamily:
         if elliptic_count < 0:
-            raise SpecInvalid(f"elliptic factor count {elliptic_count} < 0")
+            raise DimensionCalculusError(f"elliptic factor count {elliptic_count} < 0")
         if p < 1 or q < 1:
-            raise SpecInvalid(f"unitary parameters ({p},{q}) must be >= 1")
+            raise DimensionCalculusError(f"unitary parameters ({p},{q}) must be >= 1")
         if p + q < 4:
-            raise SpecInvalid(f"p+q={p + q} < 4")
+            raise DimensionCalculusError(f"p+q={p + q} < 4")
         return super().__new__(cls, elliptic_count, p, q)
 
     @property
@@ -178,9 +171,7 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
     if all(isinstance(a, SpAtom) for a in atoms):
         ranks = tuple(a.rank for a in atoms)  # type: ignore[union-attr]
         if g_prime < sum(ranks):
-            raise TargetTooLarge(
-                f"target needs total dimension >= {sum(ranks)}, got g' = {g_prime}"
-            )
+            raise DimensionCalculusError(f"target needs total dimension >= {sum(ranks)}, got g' = {g_prime}")
         pad = g_prime - sum(ranks)
         return SymplecticFamily(fixed_dims=(1,) * pad, varying_dims=ranks)
     if len(atoms) == 1 and isinstance(atoms[0], SUFormAtom):
@@ -188,11 +179,9 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
         # the family's own rules first, so a p+q = 3 target is not sent to a larger g'
         family = UnitaryFamily(elliptic_count=max(g_prime - (p + q), 0), p=p, q=q)
         if family.elliptic_count < 1:
-            raise UnitaryBoundViolated(f"need g' >= p+q+1 = {p + q + 1}, got {g_prime}")
+            raise DimensionCalculusError(f"need g' >= p+q+1 = {p + q + 1}, got {g_prime}")
         return family
-    raise UnrealizableTarget(
-        "target must be a product of Sp atoms or a single SU-form atom"
-    )
+    raise DimensionCalculusError("target must be a product of Sp atoms or a single SU-form atom")
 
 
 class KodairaReport(
@@ -220,7 +209,7 @@ def kodaira_budget(fiber_genus: int) -> KodairaReport:
     needs post_torelli_budget = plan budget - torelli >= 2.
     """
     if fiber_genus < 3:
-        raise GenusTooSmall(f"fiber genus must be >= 3, got {fiber_genus}")
+        raise DimensionCalculusError(f"fiber genus must be >= 3, got {fiber_genus}")
     plan = plan_family(SymplecticFamily(fixed_dims=(1,), varying_dims=(fiber_genus - 1,)))
     torelli = torelli_codim(fiber_genus)
     budget = plan.budget - torelli

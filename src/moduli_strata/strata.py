@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import Disagreement, InvalidShape, VaryingDimTooSmall
+from .errors import DimensionCalculusError, Disagreement
 from .moduli import half_exact, quarter_exact, siegel_dim, unitary_dim
 
 
@@ -71,11 +71,11 @@ class DecompositionShape(namedtuple("DecompositionShape", "fixed_dims varying_di
 
     def __new__(cls, fixed_dims: tuple[int, ...], varying_dims: tuple[int, ...]) -> DecompositionShape:
         if not varying_dims:
-            raise VaryingDimTooSmall("at least one varying factor is required")
+            raise DimensionCalculusError("at least one varying factor is required")
         if any(d < 2 for d in varying_dims):
-            raise VaryingDimTooSmall(f"varying dimensions must be >= 2, got {varying_dims}")
+            raise DimensionCalculusError(f"varying dimensions must be >= 2, got {varying_dims}")
         if any(d < 1 for d in fixed_dims):
-            raise InvalidShape(f"fixed dimensions must be >= 1, got {fixed_dims}")
+            raise DimensionCalculusError(f"fixed dimensions must be >= 1, got {fixed_dims}")
         return super().__new__(cls, tuple(sorted(fixed_dims)), tuple(sorted(varying_dims)))
 
     @property
@@ -244,7 +244,7 @@ def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
     factor of two) and is not used.
     """
     if p < 1 or q < 1:
-        raise InvalidShape(f"unitary parameters must be >= 1, got ({p}, {q})")
+        raise DimensionCalculusError(f"unitary parameters must be >= 1, got ({p}, {q})")
     ambient = unitary_dim(p, q)
     out: list[Stratum] = []
     for k in range(0, p + 1, 2):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .errors import GroundTooSmall
+from .errors import DimensionCalculusError
 from .hecke_groups import (
     gamma_dim,
     gamma_gamma_codim,
@@ -269,13 +269,13 @@ CHECKS: dict[str, CheckSpec] = {
 def run_check(check_id: str, g_max: int | None = None) -> VerificationRun:
     """Run one named suite; unknown ids raise KeyError.
 
-    A box that holds no case raises GroundTooSmall: a run that checks
+    A box that holds no case raises DimensionCalculusError: a run that checks
     nothing must not report that everything agrees.
     """
     spec = CHECKS[check_id]
     run = spec.runner(g_max if g_max is not None else spec.default_g_max)
     if not run.cases:
-        raise GroundTooSmall(
+        raise DimensionCalculusError(
             f"{check_id} checks no case at --g-max {g_max}; the smallest box is --g-max {MIN_G_MAX}"
         )
     return run

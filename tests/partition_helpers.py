@@ -11,7 +11,7 @@ reference.
 import itertools
 from math import factorial
 
-from moduli_strata.errors import GroundMismatch
+from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.partitions import IntersectionMatrix
 
 
@@ -46,7 +46,7 @@ def relabel(partition, perm):
 def intersection_matrix(lam, mu):
     """Canonical intersection matrix of a pair of partitions."""
     if len(lam) != len(mu):
-        raise GroundMismatch(f"ground sizes differ: {len(lam)} vs {len(mu)}")
+        raise DimensionCalculusError(f"ground sizes differ: {len(lam)} vs {len(mu)}")
     counts = [[0] * (max(mu) + 1) for _ in range(max(lam) + 1)]
     for a, b in zip(lam, mu):
         counts[a][b] += 1

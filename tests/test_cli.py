@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from moduli_strata import cli, hecke_groups, planner, strata, verify
 from moduli_strata.cli import build_parser, run
-from moduli_strata.errors import GroundTooSmall
+from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.moduli import BoundaryCodim, GroupExpr, SpAtom
 from stdout_digest import LISTING, digest, names_its_input, recorded
 
@@ -214,6 +215,16 @@ class TestExitCodes:
         assert code == 2 and out == "" and "Traceback" not in err
         assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
 
+    def test_gamma_increment_disagreement_path(self, capsys, monkeypatch):
+        # one too many whenever a block of size 3 is present, so every insertion that makes or grows one fails
+        closed = verify.gamma_dim
+        monkeypatch.setattr(verify, "gamma_dim", lambda sizes: closed(sizes) + (3 in sizes))
+        code, out, err = invoke(capsys, ["verify", "C5.3-increment", "--g-max", "3", "--json"])
+        assert code == 2 and "Traceback" not in err
+        result = json.loads(out)["result"]
+        assert result["summary"] == {"cases": 2, "disagreements": 2}
+        assert all(not c["agree"] and c["computed"] < c["expected"] for c in result["cases"])
+
     def test_verify_disagreement_path(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "L3.3", "--json"])
         assert code == 2
@@ -408,8 +419,10 @@ class TestOutputTargets:
 
     @pytest.mark.parametrize("lemma", sorted(verify.CHECKS))
     def test_min_g_max_is_every_suites_smallest_box(self, lemma):
-        with pytest.raises(GroundTooSmall):
-            verify.run_check(lemma, verify.MIN_G_MAX - 1)
+        smallest = verify.MIN_G_MAX
+        message = f"{lemma} checks no case at --g-max {smallest - 1}; the smallest box is --g-max {smallest}"
+        with pytest.raises(DimensionCalculusError, match=re.escape(message)):
+            verify.run_check(lemma, smallest - 1)
         assert verify.run_check(lemma, verify.MIN_G_MAX).cases
 
     def test_elliptic_needs_unitary(self, capsys):

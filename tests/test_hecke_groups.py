@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from moduli_strata import hecke_groups
 from moduli_strata.cli import run
-from moduli_strata.errors import GroundMismatch, GroundTooSmall, NotProper
+from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.hecke_groups import (
     gamma_dim,
     gamma_gamma_codim,
@@ -69,7 +69,7 @@ class TestProductDim:
         assert product_dim(g2, g2) == 6
 
     def test_mismatch(self):
-        with pytest.raises(GroundMismatch):
+        with pytest.raises(DimensionCalculusError, match="ground sizes differ: 2 vs 3"):
             product_dim(blocks([1], [2]), blocks([1], [2], [3]))
 
     @given(partition_pairs())
@@ -170,14 +170,18 @@ class TestMaxProductDim:
         assert f"search_optimum {sp_dim(4) - 4}," in err and f"{rival.entries} attains {rival_value}" in err
 
     def test_ground_too_small(self):
-        with pytest.raises(GroundTooSmall):
+        with pytest.raises(DimensionCalculusError, match="need g >= 2, got 1"):
             max_product_dim(1)
 
     @pytest.mark.parametrize("g", (-1, 0, 1))
     @pytest.mark.parametrize("maximizer", (max_product_dim, max_product_dim_by_pairs), ids=lambda f: f.__name__)
     def test_both_maximizers_reject_small_grounds(self, maximizer, g):
         # the enumerations they call hold the g >= 2 rule
-        with pytest.raises(GroundTooSmall):
+        message = {
+            max_product_dim: f"need g >= 2, got {g}",
+            max_product_dim_by_pairs: f"no proper partition exists for g = {g}",
+        }[maximizer]
+        with pytest.raises(DimensionCalculusError, match=message):
             maximizer(g)
 
 
@@ -186,7 +190,7 @@ class TestTranslateMargin:
         assert gamma_gamma_codim((1, 1)) == 4
 
     def test_not_proper(self):
-        with pytest.raises(NotProper):
+        with pytest.raises(DimensionCalculusError, match="a proper partition is required"):
             gamma_gamma_codim((3,))
 
     @pytest.mark.parametrize("g", range(2, 7))
@@ -219,7 +223,7 @@ class TestTranslateMargin:
         assert gamma_gamma_codim(block_sizes(a)) == gamma_gamma_codim(block_sizes(b))
 
     def test_rejects_improper_sizes(self):
-        with pytest.raises(GroundTooSmall):
+        with pytest.raises(DimensionCalculusError, match="need g >= 2, got 1"):
             gamma_gamma_codim((1,))
         with pytest.raises(ValueError):
             gamma_gamma_codim((2, 0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_strata.errors import GroundMismatch, GroundTooSmall
+from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.partitions import (
     IntersectionMatrix,
     bell_number,
@@ -55,7 +55,7 @@ class TestSetPartition:
             for p in iter_all_partitions(g):
                 assert len(p) == g and p[0] == 0
                 assert all(p[i] <= max(p[:i]) + 1 for i in range(1, g))
-        with pytest.raises(GroundTooSmall):
+        with pytest.raises(DimensionCalculusError, match="need g >= 1, got 0"):
             next(iter_all_partitions(0))
 
     def test_relabel(self):
@@ -85,7 +85,7 @@ class TestEnumeration:
         assert len(set(parts)) == len(parts)
 
     def test_ground_too_small(self):
-        with pytest.raises(GroundTooSmall):
+        with pytest.raises(DimensionCalculusError, match="no proper partition exists for g = 1"):
             enumerate_proper_partitions(1)
 
 
@@ -98,7 +98,7 @@ class TestMeet:
         assert meet(s, blocks([1, 2], [3])) == s
 
     def test_ground_mismatch(self):
-        with pytest.raises(GroundMismatch):
+        with pytest.raises(DimensionCalculusError, match="ground sizes differ: 2 vs 3"):
             meet(blocks([1], [2]), blocks([1], [2], [3]))
 
     @given(partition_pairs())
@@ -319,5 +319,5 @@ class TestMatrixTypes:
             assert any(lam) and any(mu)
 
     def test_ground_too_small(self):
-        with pytest.raises(GroundTooSmall):
+        with pytest.raises(DimensionCalculusError, match="need g >= 2, got 1"):
             enumerate_matrix_types(1)

@@ -4,14 +4,7 @@ import itertools
 
 import pytest
 
-from moduli_strata.errors import (
-    GenusTooSmall,
-    RankTooSmall,
-    SpecInvalid,
-    TargetTooLarge,
-    UnitaryBoundViolated,
-    UnrealizableTarget,
-)
+from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.moduli import GroupExpr, SpAtom, SUFormAtom
 from moduli_strata.planner import (
     SymplecticFamily,
@@ -29,21 +22,21 @@ class TestValidate:
         assert UnitaryFamily(2, 2, 3).total_g == 7
 
     def test_violations(self):
-        with pytest.raises(SpecInvalid, match=r"varying dimensions must be >= 2, got \(1, 3\)"):
+        with pytest.raises(DimensionCalculusError, match=r"varying dimensions must be >= 2, got \(1, 3\)"):
             SymplecticFamily((), (1, 3))
-        with pytest.raises(SpecInvalid, match=r"p\+q=3 < 4"):
+        with pytest.raises(DimensionCalculusError, match=r"p\+q=3 < 4"):
             UnitaryFamily(1, 1, 2)
-        with pytest.raises(SpecInvalid, match="unitary parameters"):
+        with pytest.raises(DimensionCalculusError, match=r"unitary parameters \(0,4\) must be >= 1"):
             UnitaryFamily(1, 0, 4)
-        with pytest.raises(SpecInvalid, match="elliptic factor count -1"):
+        with pytest.raises(DimensionCalculusError, match="elliptic factor count -1 < 0"):
             UnitaryFamily(-1, 2, 3)
-        with pytest.raises(SpecInvalid, match="fixed dimensions"):
+        with pytest.raises(DimensionCalculusError, match=r"fixed dimensions must be >= 1, got \(0,\)"):
             SymplecticFamily((0,), (2,))
-        with pytest.raises(SpecInvalid):  # empty varying part
+        with pytest.raises(DimensionCalculusError, match="at least one varying factor is required"):
             SymplecticFamily((), ())
 
     def test_plan_rejects_invalid(self):
-        with pytest.raises(SpecInvalid):
+        with pytest.raises(DimensionCalculusError, match=r"varying dimensions must be >= 2, got \(1, 3\)"):
             plan_family(SymplecticFamily((), (1, 3)))
 
 
@@ -142,15 +135,15 @@ class TestRealize:
         assert realize_group(GroupExpr.of([SUFormAtom(2, 2)]), 6) == UnitaryFamily(2, 2, 2)
 
     def test_errors(self):
-        with pytest.raises(RankTooSmall):
+        with pytest.raises(DimensionCalculusError, match=r"varying dimensions must be >= 2, got \(1,\)"):
             realize_group(GroupExpr.of([SpAtom(1)]), 5)
-        with pytest.raises(TargetTooLarge):
+        with pytest.raises(DimensionCalculusError, match="target needs total dimension >= 6, got g' = 5"):
             realize_group(GroupExpr.of([SpAtom(3), SpAtom(3)]), 5)
-        with pytest.raises(UnitaryBoundViolated):
-            realize_group(GroupExpr.of([SUFormAtom(2, 2)]), 4)  # needs g' >= p+q+1
-        with pytest.raises(SpecInvalid, match=r"p\+q=3 < 4"):
+        with pytest.raises(DimensionCalculusError, match=r"need g' >= p\+q\+1 = 5, got 4"):
+            realize_group(GroupExpr.of([SUFormAtom(2, 2)]), 4)
+        with pytest.raises(DimensionCalculusError, match=r"p\+q=3 < 4"):
             realize_group(GroupExpr.of([SUFormAtom(1, 2)]), 9)  # UnitaryFamily's p+q >= 4
-        with pytest.raises(UnrealizableTarget):
+        with pytest.raises(DimensionCalculusError, match="target must be a product of Sp atoms or a single SU-form"):
             realize_group(GroupExpr.of([SpAtom(2), SUFormAtom(2, 2)]), 9)
 
     def test_round_trip_box(self):
@@ -197,6 +190,6 @@ class TestKodaira:
         assert not kodaira_budget(genus).feasible
 
     def test_genus_too_small(self):
-        with pytest.raises(GenusTooSmall):
+        with pytest.raises(DimensionCalculusError, match="fiber genus must be >= 3, got 2"):
             kodaira_budget(2)
 

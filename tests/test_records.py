@@ -19,22 +19,22 @@ from moduli_strata import (
     BoundaryCodim,
     CaseRecord,
     DecompositionShape,
+    DimensionCalculusError,
     GroupExpr,
     IntersectionMatrix,
-    InvalidShape,
-    RankTooSmall,
     SpAtom,
-    SpecInvalid,
     Stratum,
     SUFormAtom,
-    UnitaryBoundViolated,
     UnitaryFamily,
-    VaryingDimTooSmall,
     VerificationRun,
+    bell_number,
     kodaira_budget,
     max_product_dim,
     plan_family,
+    run_check,
 )
+from moduli_strata.hecke_groups import two_block_witness_value
+from moduli_strata.moduli import quarter_exact, siegel_dim, unitary_dim
 from moduli_strata.verify import CHECKS
 
 
@@ -52,15 +52,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: SpAtom(0), RankTooSmall, "Sp atom rank must be >= 1, got 0"),
-        (lambda: SUFormAtom(0, 2), UnitaryBoundViolated, "SU-form parameters must be >= 1, got (0, 2)"),
-        (lambda: SUFormAtom(2, 0), UnitaryBoundViolated, "SU-form parameters must be >= 1, got (2, 0)"),
-        (lambda: UnitaryFamily(-1, 2, 2), SpecInvalid, "elliptic factor count -1 < 0"),
-        (lambda: UnitaryFamily(0, 0, 4), SpecInvalid, "unitary parameters (0,4) must be >= 1"),
-        (lambda: UnitaryFamily(0, 1, 2), SpecInvalid, "p+q=3 < 4"),
-        (lambda: DecompositionShape((), ()), VaryingDimTooSmall, "at least one varying factor is required"),
-        (lambda: DecompositionShape((1,), (3, 1)), VaryingDimTooSmall, "varying dimensions must be >= 2, got (3, 1)"),
-        (lambda: DecompositionShape((0, 2), (2,)), InvalidShape, "fixed dimensions must be >= 1, got (0, 2)"),
+        (lambda: SpAtom(0), DimensionCalculusError, "Sp atom rank must be >= 1, got 0"),
+        (lambda: SUFormAtom(0, 2), DimensionCalculusError, "SU-form parameters must be >= 1, got (0, 2)"),
+        (lambda: SUFormAtom(2, 0), DimensionCalculusError, "SU-form parameters must be >= 1, got (2, 0)"),
+        (lambda: UnitaryFamily(-1, 2, 2), DimensionCalculusError, "elliptic factor count -1 < 0"),
+        (lambda: UnitaryFamily(0, 0, 4), DimensionCalculusError, "unitary parameters (0,4) must be >= 1"),
+        (lambda: UnitaryFamily(0, 1, 2), DimensionCalculusError, "p+q=3 < 4"),
+        (lambda: DecompositionShape((), ()), DimensionCalculusError, "at least one varying factor is required"),
+        (lambda: DecompositionShape((1,), (3, 1)), DimensionCalculusError, "varying dimensions must be >= 2, got (3, 1)"),
+        (lambda: DecompositionShape((0, 2), (2,)), DimensionCalculusError, "fixed dimensions must be >= 1, got (0, 2)"),
         (
             lambda: Stratum("b_diag", (1, 1), 3, 4),
             ValueError,
@@ -73,6 +73,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         (lambda: IntersectionMatrix(((1, 1), (0, 0))), ValueError, "zero row"),
         (lambda: IntersectionMatrix(((1, 0), (1, 0))), ValueError, "zero column"),
         (lambda: GroupExpr(()), ValueError, "a group expression needs at least one atom"),
+        (lambda: siegel_dim(-1), ValueError, "dimension must be >= 0, got -1"),
+        (lambda: unitary_dim(-1, 0), ValueError, "parameters must be >= 0, got (-1, 0)"),
+        (lambda: bell_number(-1), ValueError, "n must be >= 0"),
+        (lambda: quarter_exact(2), ArithmeticError, "expected a multiple of 4, got 2"),
+        (lambda: run_check("nope"), KeyError, "'nope'"),
+        (lambda: two_block_witness_value(1), DimensionCalculusError, "need g >= 2, got 1"),
     ],
 )
 def test_validation_keeps_its_exception_and_message(build, error, message):

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from moduli_strata.errors import InvalidShape, VaryingDimTooSmall
+from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.planner import UnitaryFamily, plan_family
 from moduli_strata.strata import (
     DecompositionShape,
@@ -45,9 +45,9 @@ class TestProductStrata:
         assert strata[0].kind == "b_diag" and strata[0].codim == 2
 
     def test_rejects_small_dims(self):
-        with pytest.raises(VaryingDimTooSmall):
+        with pytest.raises(DimensionCalculusError, match=r"varying dimensions must be >= 2, got \(1, 3\)"):
             strata_of_shape(DecompositionShape((), (1, 3)))
-        with pytest.raises(VaryingDimTooSmall):
+        with pytest.raises(DimensionCalculusError, match="at least one varying factor is required"):
             strata_of_shape(DecompositionShape((), ()))
 
     def test_minimum_examples(self):
@@ -67,11 +67,11 @@ class TestProductStrata:
 
 class TestFixedPartStrata:
     def test_shape_validation(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(DimensionCalculusError, match="at least one varying factor is required"):
             DecompositionShape((1,), ())
-        with pytest.raises(InvalidShape):
+        with pytest.raises(DimensionCalculusError, match=r"fixed dimensions must be >= 1, got \(0,\)"):
             DecompositionShape((0,), (2,))
-        with pytest.raises(InvalidShape):
+        with pytest.raises(DimensionCalculusError, match=r"varying dimensions must be >= 2, got \(1,\)"):
             DecompositionShape((), (1,))
 
     def test_examples(self):
@@ -150,7 +150,7 @@ class TestUnitaryStrata:
         assert s[("unitary_noncm", (1,))].codim == 0
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidShape):
+        with pytest.raises(DimensionCalculusError, match=r"unitary parameters must be >= 1, got \(0, 2\)"):
             strata_of_unitary(0, 2)
 
     def test_minimum_examples(self):
