@@ -21,7 +21,7 @@ from . import __version__
 from .errors import DimensionCalculusError, Disagreement
 from .hecke_groups import gamma_dim, gamma_gamma_codim, max_product_dim
 from .moduli import GroupExpr, SpAtom, SUFormAtom, sp_dim
-from .partitions import integer_partitions
+from .partitions import proper_classes
 from .planner import (
     SymplecticFamily,
     UnitaryFamily,
@@ -349,8 +349,7 @@ def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
             "gamma_dim": gamma_dim(sizes),
             "translate_codim": gamma_gamma_codim(sizes),
         }
-        for sizes in integer_partitions(g)
-        if len(sizes) >= 2
+        for sizes in proper_classes(g)
     ]
     result = {
         "ground_size": g,

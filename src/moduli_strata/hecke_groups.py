@@ -43,7 +43,7 @@ from .partitions import (
     block_sizes,
     enumerate_matrix_types,
     enumerate_proper_partitions,
-    integer_partitions,
+    proper_classes,
 )
 
 
@@ -118,12 +118,12 @@ def max_product_dim(g: int) -> MaxProductDim:
     to EXHAUSTIVE_LIMIT it must also be the only canonical matrix type at
     or above it.  Either failure raises ``Disagreement``.
     """
-    types = enumerate_matrix_types(g) if g <= EXHAUSTIVE_LIMIT else []
-    value = sp_dim(g) - min(gamma_gamma_codim_by_search(s) for s in integer_partitions(g) if len(s) > 1)
+    value = sp_dim(g) - min(map(gamma_gamma_codim_by_search, proper_classes(g)))
     witness = IntersectionMatrix(((g - 2, 1), (1, 0)))
     attained = product_dim_from_matrix(witness)
     if attained != value:
         raise Disagreement(f"two-block witness at g = {g}", search_optimum=value, witness_attains=attained)
+    types = enumerate_matrix_types(g) if g <= EXHAUSTIVE_LIMIT else []
     reached = [m for m in types if product_dim_from_matrix(m) >= value]
     if types and reached != [witness]:
         found = "; ".join(f"{m.entries} attains {product_dim_from_matrix(m)}" for m in reached)
@@ -139,7 +139,7 @@ def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:
     class (consecutive blocks) against every proper mu: (p(g) - 1)(Bell(g) - 1)
     pairs stand for all (Bell(g) - 1)^2.
     """
-    lams = [_consecutive_blocks(sizes) for sizes in integer_partitions(g) if len(sizes) > 1]
+    lams = [_consecutive_blocks(sizes) for sizes in proper_classes(g)]
     return _sweep(lams, enumerate_proper_partitions(g))
 
 
@@ -207,8 +207,6 @@ def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
     sizes = tuple(sorted(block_sizes, reverse=True))
     if any(l < 1 for l in sizes):
         raise ValueError(f"block sizes must be >= 1, got {tuple(block_sizes)}")
-    if sum(sizes) < 2:
-        raise DimensionCalculusError(f"need g >= 2, got {sum(sizes)}")
     if len(sizes) < 2:
         raise DimensionCalculusError("a proper partition is required")
     return sizes

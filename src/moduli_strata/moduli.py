@@ -70,8 +70,7 @@ def siegel_boundary_codim(g: int) -> BoundaryCodim:
 def unitary_boundary_codim(p: int, q: int) -> BoundaryCodim:
     """At least p+q-1: the boundary strata of the minimal compactification
     are the spaces (p-r, q-r), and pq - (p-1)(q-1) = p+q-1."""
-    if p < 1 or q < 1:
-        raise DimensionCalculusError("boundary codimension needs p, q >= 1")
+    SUFormAtom(p, q)  # the unitary rule p, q >= 1
     return BoundaryCodim(p + q - 1, exact=False)
 
 
@@ -79,7 +78,7 @@ def torelli_codim(g: int) -> int:
     """Codimension of the closure of the Jacobian locus: g(g+1)/2 - (3g-3)."""
     if g < 2:
         raise DimensionCalculusError(f"Torelli codimension needs g >= 2, got {g}")
-    return g * (g + 1) // 2 - (3 * g - 3)
+    return siegel_dim(g) - (3 * g - 3)
 
 
 def sp_dim(l: int) -> int:
@@ -113,7 +112,7 @@ class SUFormAtom(namedtuple("SUFormAtom", "p q")):
 
     def __new__(cls, p: int, q: int) -> SUFormAtom:
         if p < 1 or q < 1:
-            raise DimensionCalculusError(f"SU-form parameters must be >= 1, got ({p}, {q})")
+            raise DimensionCalculusError(f"unitary parameters must be >= 1, got ({p}, {q})")
         return super().__new__(cls, p, q)
 
     @property

@@ -64,7 +64,7 @@ def enumerate_proper_partitions(g: int) -> list[Partition]:
     all-zero string, is the only one excluded.
     """
     if g < 2:
-        raise DimensionCalculusError(f"no proper partition exists for g = {g}")
+        raise DimensionCalculusError(f"need g >= 2, got {g}")
     return [p for p in iter_all_partitions(g) if any(p)]
 
 
@@ -185,6 +185,13 @@ def integer_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[in
             yield (first,) + rest
 
 
+def proper_classes(g: int) -> list[tuple[int, ...]]:
+    """Block sizes of the proper partitions of {1, ..., g}: the partitions of g with two or more parts."""
+    if g < 2:
+        raise DimensionCalculusError(f"need g >= 2, got {g}")
+    return [p for p in integer_partitions(g) if len(p) > 1]
+
+
 @lru_cache(maxsize=None)
 def _compositions(total: int, budgets: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Compositions of `total` with entry j <= budgets[j]."""
@@ -241,10 +248,8 @@ def enumerate_matrix_types(g: int) -> list[IntersectionMatrix]:
     every canonical representative, so building each type is a
     ``canonical_entries`` cache hit.
     """
-    if g < 2:
-        raise DimensionCalculusError(f"need g >= 2, got {g}")
     seen: set[tuple[tuple[int, ...], ...]] = set()
-    margins = [p for p in integer_partitions(g) if len(p) >= 2]
+    margins = proper_classes(g)
     for row_sums in margins:
         for col_sums in margins:
             for table in _tables(row_sums, col_sums):

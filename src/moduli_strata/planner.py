@@ -54,8 +54,7 @@ class UnitaryFamily(namedtuple("UnitaryFamily", "elliptic_count p q")):
     def __new__(cls, elliptic_count: int, p: int, q: int) -> UnitaryFamily:
         if elliptic_count < 0:
             raise DimensionCalculusError(f"elliptic factor count {elliptic_count} < 0")
-        if p < 1 or q < 1:
-            raise DimensionCalculusError(f"unitary parameters ({p},{q}) must be >= 1")
+        SUFormAtom(p, q)  # the unitary rule p, q >= 1
         if p + q < 4:
             raise DimensionCalculusError(f"p+q={p + q} < 4")
         return super().__new__(cls, elliptic_count, p, q)

@@ -32,7 +32,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DimensionCalculusError, Disagreement
-from .moduli import half_exact, quarter_exact, siegel_dim, unitary_dim
+from .moduli import SUFormAtom, half_exact, quarter_exact, siegel_dim, unitary_dim
 
 
 class Stratum(namedtuple("Stratum", "kind params ambient_dim stratum_dim")):
@@ -243,8 +243,7 @@ def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
     dimension disagrees with the raw sum (its correction term is off by a
     factor of two) and is not used.
     """
-    if p < 1 or q < 1:
-        raise DimensionCalculusError(f"unitary parameters must be >= 1, got ({p}, {q})")
+    SUFormAtom(p, q)  # the unitary rule p, q >= 1
     ambient = unitary_dim(p, q)
     out: list[Stratum] = []
     for k in range(0, p + 1, 2):

@@ -25,8 +25,8 @@ from .moduli import sp_dim
 from .partitions import (
     bell_number,
     block_sizes,
-    integer_partitions,
     iter_all_partitions,
+    proper_classes,
 )
 from .strata import (
     NONCM_DISPLAY_NOTE,
@@ -218,9 +218,7 @@ def run_translate_margin(g_max: int) -> VerificationRun:
     """
     run = VerificationRun("C5.6", f"g in 2..{g_max}, all proper partition classes")
     for g in range(2, g_max + 1):
-        for sizes in integer_partitions(g):
-            if len(sizes) < 2:
-                continue
+        for sizes in proper_classes(g):
             routes = {
                 "closed_form": gamma_gamma_codim(sizes),
                 "completion_search": gamma_gamma_codim_by_search(sizes),

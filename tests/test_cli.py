@@ -384,7 +384,7 @@ class TestOutputTargets:
         "argv,needle",
         [
             (["realize", "--varying", "0", "--g", "3"], "rank must be >= 1"),
-            (["realize", "--unitary", "0,3", "--g", "5"], "parameters must be >= 1"),
+            (["realize", "--unitary", "0,3", "--g", "5"], "realize: unitary parameters must be >= 1, got (0, 3)"),
             (["realize", "--unitary", "1,2", "--g", "3"], "p+q=3 < 4"),
             (["plan", "--unitary", "2,3", "--fixed", "1"], "--fixed applies only with --varying"),
             (["strata", "--unitary", "2,2", "--fixed", "1"], "--fixed applies only with --varying"),

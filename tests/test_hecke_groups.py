@@ -27,6 +27,7 @@ from moduli_strata.partitions import (
     integer_partitions,
     iter_all_partitions,
     meet,
+    proper_classes,
 )
 from partition_helpers import blocks, canonical, intersection_matrix
 
@@ -176,13 +177,18 @@ class TestMaxProductDim:
     @pytest.mark.parametrize("g", (-1, 0, 1))
     @pytest.mark.parametrize("maximizer", (max_product_dim, max_product_dim_by_pairs), ids=lambda f: f.__name__)
     def test_both_maximizers_reject_small_grounds(self, maximizer, g):
-        # the enumerations they call hold the g >= 2 rule
-        message = {
-            max_product_dim: f"need g >= 2, got {g}",
-            max_product_dim_by_pairs: f"no proper partition exists for g = {g}",
-        }[maximizer]
-        with pytest.raises(DimensionCalculusError, match=message):
+        with pytest.raises(DimensionCalculusError, match=f"need g >= 2, got {g}"):
             maximizer(g)
+
+    def test_ground_rule_does_not_rest_on_the_matrix_types(self, capsys, monkeypatch):
+        # with no g <= EXHAUSTIVE_LIMIT cross-check left to run first, the maximizer still owns its rule
+        monkeypatch.setattr(hecke_groups, "EXHAUSTIVE_LIMIT", 0)
+        with pytest.raises(DimensionCalculusError) as info:
+            max_product_dim(1)
+        assert type(info.value) is DimensionCalculusError and str(info.value) == "need g >= 2, got 1"
+        assert run(["gamma", "--g", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "moduli-strata: error: gamma: need g >= 2, got 1\n"
 
 
 class TestTranslateMargin:
@@ -207,7 +213,7 @@ class TestTranslateMargin:
             assert gamma_gamma_codim_by_pairs(sizes) == gamma_gamma_codim(sizes)
 
     def test_closed_form_matches_search_on_every_class(self):
-        classes = [s for g in range(2, 13) for s in integer_partitions(g) if len(s) > 1]
+        classes = [s for g in range(2, 13) for s in proper_classes(g)]
         assert len(classes) == 259
         for sizes in classes:
             assert gamma_gamma_codim(sizes) == gamma_gamma_codim_by_search(sizes), sizes
@@ -223,7 +229,7 @@ class TestTranslateMargin:
         assert gamma_gamma_codim(block_sizes(a)) == gamma_gamma_codim(block_sizes(b))
 
     def test_rejects_improper_sizes(self):
-        with pytest.raises(DimensionCalculusError, match="need g >= 2, got 1"):
+        with pytest.raises(DimensionCalculusError, match="a proper partition is required"):
             gamma_gamma_codim((1,))
         with pytest.raises(ValueError):
             gamma_gamma_codim((2, 0))

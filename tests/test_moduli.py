@@ -49,7 +49,7 @@ class TestBoundary:
     def test_degenerate_rejected(self):
         with pytest.raises(DimensionCalculusError, match="boundary codimension needs g >= 1"):
             siegel_boundary_codim(0)
-        with pytest.raises(DimensionCalculusError, match="boundary codimension needs p, q >= 1"):
+        with pytest.raises(DimensionCalculusError, match=r"unitary parameters must be >= 1, got \(0, 2\)"):
             unitary_boundary_codim(0, 2)
 
     @pytest.mark.parametrize("g", range(1, 10))
@@ -92,7 +92,7 @@ class TestGroupExpr:
     def test_atoms_reject_small_parameters(self):
         with pytest.raises(DimensionCalculusError, match="Sp atom rank must be >= 1, got 0"):
             SpAtom(0)
-        with pytest.raises(DimensionCalculusError, match=r"SU-form parameters must be >= 1, got \(0, 3\)"):
+        with pytest.raises(DimensionCalculusError, match=r"unitary parameters must be >= 1, got \(0, 3\)"):
             SUFormAtom(0, 3)
 
     def test_empty_rejected(self):

@@ -85,7 +85,7 @@ class TestEnumeration:
         assert len(set(parts)) == len(parts)
 
     def test_ground_too_small(self):
-        with pytest.raises(DimensionCalculusError, match="no proper partition exists for g = 1"):
+        with pytest.raises(DimensionCalculusError, match="need g >= 2, got 1"):
             enumerate_proper_partitions(1)
 
 

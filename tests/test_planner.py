@@ -26,7 +26,7 @@ class TestValidate:
             SymplecticFamily((), (1, 3))
         with pytest.raises(DimensionCalculusError, match=r"p\+q=3 < 4"):
             UnitaryFamily(1, 1, 2)
-        with pytest.raises(DimensionCalculusError, match=r"unitary parameters \(0,4\) must be >= 1"):
+        with pytest.raises(DimensionCalculusError, match=r"unitary parameters must be >= 1, got \(0, 4\)"):
             UnitaryFamily(1, 0, 4)
         with pytest.raises(DimensionCalculusError, match="elliptic factor count -1 < 0"):
             UnitaryFamily(-1, 2, 3)

@@ -28,13 +28,19 @@ from moduli_strata import (
     UnitaryFamily,
     VerificationRun,
     bell_number,
+    enumerate_matrix_types,
+    enumerate_proper_partitions,
     kodaira_budget,
     max_product_dim,
+    max_product_dim_by_pairs,
     plan_family,
     run_check,
+    strata_of_unitary,
+    unitary_boundary_codim,
 )
 from moduli_strata.hecke_groups import two_block_witness_value
 from moduli_strata.moduli import quarter_exact, siegel_dim, unitary_dim
+from moduli_strata.partitions import proper_classes
 from moduli_strata.verify import CHECKS
 
 
@@ -53,10 +59,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     "build, error, message",
     [
         (lambda: SpAtom(0), DimensionCalculusError, "Sp atom rank must be >= 1, got 0"),
-        (lambda: SUFormAtom(0, 2), DimensionCalculusError, "SU-form parameters must be >= 1, got (0, 2)"),
-        (lambda: SUFormAtom(2, 0), DimensionCalculusError, "SU-form parameters must be >= 1, got (2, 0)"),
+        (lambda: SUFormAtom(0, 2), DimensionCalculusError, "unitary parameters must be >= 1, got (0, 2)"),
+        (lambda: SUFormAtom(2, 0), DimensionCalculusError, "unitary parameters must be >= 1, got (2, 0)"),
         (lambda: UnitaryFamily(-1, 2, 2), DimensionCalculusError, "elliptic factor count -1 < 0"),
-        (lambda: UnitaryFamily(0, 0, 4), DimensionCalculusError, "unitary parameters (0,4) must be >= 1"),
+        (lambda: UnitaryFamily(0, 0, 4), DimensionCalculusError, "unitary parameters must be >= 1, got (0, 4)"),
         (lambda: UnitaryFamily(0, 1, 2), DimensionCalculusError, "p+q=3 < 4"),
         (lambda: DecompositionShape((), ()), DimensionCalculusError, "at least one varying factor is required"),
         (lambda: DecompositionShape((1,), (3, 1)), DimensionCalculusError, "varying dimensions must be >= 2, got (3, 1)"),
@@ -86,6 +92,40 @@ def test_validation_keeps_its_exception_and_message(build, error, message):
         build()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 0)])
+@pytest.mark.parametrize(
+    "entry",
+    [SUFormAtom, lambda p, q: UnitaryFamily(0, p, q), strata_of_unitary, unitary_boundary_codim],
+    ids=["SUFormAtom", "UnitaryFamily", "strata_of_unitary", "unitary_boundary_codim"],
+)
+def test_unitary_rule_has_one_message(entry, p, q):
+    # every entry point reads SUFormAtom's check
+    with pytest.raises(DimensionCalculusError) as info:
+        entry(p, q)
+    assert type(info.value) is DimensionCalculusError
+    assert str(info.value) == f"unitary parameters must be >= 1, got ({p}, {q})"
+
+
+@pytest.mark.parametrize("g", (-1, 0, 1))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        max_product_dim,
+        max_product_dim_by_pairs,
+        enumerate_matrix_types,
+        enumerate_proper_partitions,
+        two_block_witness_value,
+        proper_classes,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_ground_rule_has_one_message(entry, g):
+    with pytest.raises(DimensionCalculusError) as info:
+        entry(g)
+    assert type(info.value) is DimensionCalculusError
+    assert str(info.value) == f"need g >= 2, got {g}"
 
 
 def _every_record():
