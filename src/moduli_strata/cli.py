@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .errors import DimensionCalculusError, Disagreement
+from .errors import DimensionCalculusError, Disagreement, agree
 from .hecke_groups import gamma_dim, gamma_gamma_codim, max_product_dim
 from .moduli import GroupExpr, SpAtom, SUFormAtom, sp_dim
 from .partitions import proper_classes
@@ -155,6 +156,14 @@ def _reject_inapplicable(parser: _Parser, args: argparse.Namespace) -> None:
         parser.error("--elliptic applies only with --unitary")
 
 
+def _write_out(path: str, blocks: Iterable[str], mode: str = "w") -> None:
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.writelines(blocks)
+    except OSError as exc:
+        raise UsageError(f"argument --out: cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     # JSON goes out in blocks of encoder chunks: ``json.dumps`` joins these
     # same chunks, so the bytes match while a multi-megabyte report is never
@@ -166,34 +175,20 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     else:
         blocks = (_render_text(payload),)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(blocks)
-        except OSError as exc:
-            raise UsageError(f"argument --out: cannot write {args.out}: {exc.strerror}") from exc
+        _write_out(args.out, blocks)
     else:
         sys.stdout.writelines(blocks)
 
 
-def _render_lines(value: dict | list, indent: int = 0) -> list[str]:
+def _render_lines(value: dict | list, indent: int = 0) -> Iterator[str]:
     pad = "  " * indent
-    lines: list[str] = []
-    if isinstance(value, dict):
-        for key in value:
-            inner = value[key]
-            if isinstance(inner, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_lines(inner, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {inner}")
-    else:
-        for inner in value:
-            if isinstance(inner, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_lines(inner, indent + 1))
-            else:
-                lines.append(f"{pad}- {inner}")
-    return lines
+    pairs = ((f"{k}:", v) for k, v in value.items()) if isinstance(value, dict) else (("-", v) for v in value)
+    for label, inner in pairs:
+        if isinstance(inner, (dict, list)):
+            yield f"{pad}{label}"
+            yield from _render_lines(inner, indent + 1)
+        else:
+            yield f"{pad}{label} {inner}"
 
 
 def _render_text(payload: dict) -> str:
@@ -281,12 +276,11 @@ def _kodaira_dict(report) -> dict:
 
 
 def _case_dict(case) -> dict:
-    inputs, expected, computed, agree, witness, note = case
-    out = {"input": inputs, "expected": expected, "computed": computed, "agree": agree}
-    if witness is not None:
-        out["witness"] = witness
-    if note:
-        out["note"] = note
+    out = {"input": case.input, "expected": case.expected, "computed": case.computed, "agree": case.agree}
+    if case.witness is not None:
+        out["witness"] = case.witness
+    if case.note:
+        out["note"] = case.note
     return out
 
 
@@ -317,13 +311,12 @@ def _cmd_strata(args: argparse.Namespace) -> CommandReport:
         shape = DecompositionShape(args.fixed, args.varying)
         strata = strata_of_shape(shape)
         minimum = mdec_codim_fixedpart(shape)
-        # the memoized minimum must pick the first stratum of the full enumeration
-        if strata[0] != minimum.witness:
-            raise Disagreement(
-                f"memoized and enumerated minima differ for {shape}",
-                memoized=f"{minimum.witness.label} of codimension {minimum.codim}",
-                enumerated=f"{strata[0].label} of codimension {strata[0].codim}",
-            )
+        # the memoized minimum must be the enumeration's first stratum; in one ambient, label and codim name it
+        agree(
+            f"memoized and enumerated minima differ for {shape}",
+            memoized=f"{minimum.witness.label} of codimension {minimum.codim}",
+            enumerated=f"{strata[0].label} of codimension {strata[0].codim}",
+        )
         # --fixed is echoed in the order given
         inputs = {"flavor": "symplectic", "fixed_dims": list(args.fixed), "varying_dims": list(shape.varying_dims)}
     result = {
@@ -355,8 +348,8 @@ def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
         "ground_size": g,
         "ambient_group_dim": sp_dim(g),
         "max_product_dim": maximum.value,
-        "closed_form": sp_dim(g) - 4,
-        "agrees": maximum.value == sp_dim(g) - 4,
+        "closed_form": maximum.closed_form,
+        "agrees": maximum.value == maximum.closed_form,
         "witness": [list(r) for r in maximum.witness.entries],
         "partition_classes": classes,
     }
@@ -419,9 +412,15 @@ _COMMANDS = {
 def run(argv: Sequence[str]) -> int:
     """Parse argv, run the subcommand, emit its report once and return the exit code."""
     parser = build_parser()
+    created = False
     try:
         args = parser.parse_args(list(argv))
         _reject_inapplicable(parser, args)
+        if args.out:
+            # an unwritable FILE fails before the work; appending nothing leaves a found FILE unchanged
+            existed = os.path.lexists(args.out)
+            _write_out(args.out, (), "a")
+            created = not existed
         inputs, result, notes, code = _COMMANDS[args.command](args)
         payload = {
             "tool": TOOL_NAME,
@@ -434,15 +433,16 @@ def run(argv: Sequence[str]) -> int:
         _emit(payload, args)
         return code
     except Disagreement as exc:
-        sys.stderr.write(f"{TOOL_NAME}: disagreement: {exc}\n")
-        return EXIT_DISAGREEMENT
+        line, code = f"disagreement: {exc}", EXIT_DISAGREEMENT
     except DimensionCalculusError as exc:
         # a rule of the library, named under the subcommand that broke it
-        sys.stderr.write(f"{TOOL_NAME}: error: {args.command}: {exc}\n")
-        return EXIT_USAGE
+        line, code = f"error: {args.command}: {exc}", EXIT_USAGE
     except UsageError as exc:
-        sys.stderr.write(f"{TOOL_NAME}: error: {exc}\n")
-        return EXIT_USAGE
+        line, code = f"error: {exc}", EXIT_USAGE
+    if created:  # a failed command leaves no FILE it created
+        os.remove(args.out)
+    sys.stderr.write(f"{TOOL_NAME}: {line}\n")
+    return code
 
 
 def main() -> None:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionCalculusError, Disagreement
+from .errors import DimensionCalculusError, Disagreement, agree
 from .moduli import sp_dim
 from .partitions import (
     IntersectionMatrix,
@@ -95,8 +95,8 @@ def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
     return gamma_dim(matrix.row_sums) + gamma_dim(matrix.col_sums) - gamma_dim(cells)
 
 
-class MaxProductDim(namedtuple("MaxProductDim", "value witness")):
-    """Maximum product dimension with its witness, the two-block matrix."""
+class MaxProductDim(namedtuple("MaxProductDim", "value witness closed_form")):
+    """Maximum product dimension, its witness (the two-block matrix) and the closed form 2g^2 + g - 4."""
 
     __slots__ = ()
 
@@ -120,15 +120,13 @@ def max_product_dim(g: int) -> MaxProductDim:
     """
     value = sp_dim(g) - min(map(gamma_gamma_codim_by_search, proper_classes(g)))
     witness = IntersectionMatrix(((g - 2, 1), (1, 0)))
-    attained = product_dim_from_matrix(witness)
-    if attained != value:
-        raise Disagreement(f"two-block witness at g = {g}", search_optimum=value, witness_attains=attained)
+    agree(f"two-block witness at g = {g}", search_optimum=value, witness_attains=product_dim_from_matrix(witness))
     types = enumerate_matrix_types(g) if g <= EXHAUSTIVE_LIMIT else []
     reached = [m for m in types if product_dim_from_matrix(m) >= value]
     if types and reached != [witness]:
         found = "; ".join(f"{m.entries} attains {product_dim_from_matrix(m)}" for m in reached)
         raise Disagreement(f"matrix types at g = {g}", search_optimum=value, types_at_or_above=found)
-    return MaxProductDim(value, witness)
+    return MaxProductDim(value, witness, sp_dim(g) - 4)
 
 
 def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:

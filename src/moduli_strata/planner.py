@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Union
 
-from .errors import DimensionCalculusError, Disagreement
+from .errors import DimensionCalculusError, agree
 from .hecke_groups import gamma_gamma_codim
 from .moduli import (
     GroupExpr,
@@ -124,9 +124,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
     monodromy = derived_mt(spec)
     notes.extend(mdec.notes)
     if isinstance(spec, SymplecticFamily):
-        expected = min(spec.varying_dims) - 1
-        if d_max != expected:
-            raise Disagreement(f"symplectic budget for {spec}", d_max=d_max, min_varying_minus_one=expected)
+        agree(f"symplectic budget for {spec}", d_max=d_max, min_varying_minus_one=min(spec.varying_dims) - 1)
     else:
         notes.append(
             f"{spec.elliptic_count} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import DimensionCalculusError, Disagreement
+from .errors import DimensionCalculusError, Disagreement, agree
 from .moduli import SUFormAtom, half_exact, quarter_exact, siegel_dim, unitary_dim
 
 
@@ -93,12 +93,6 @@ class MinCodim(namedtuple("MinCodim", "codim witness closed_form agrees notes", 
     __slots__ = ()
 
 
-def _check_two_paths(closed: int, raw: int, label: str) -> int:
-    if closed != raw:
-        raise Disagreement(f"codimension paths disagree for {label}", closed=closed, raw=raw)
-    return closed
-
-
 # Each stratum codimension depends only on the dimensions involved, never
 # on the factor positions, so the per-family minima below are memoized by
 # those dimensions and the two-path check runs once per distinct stratum.
@@ -109,13 +103,14 @@ def _check_two_paths(closed: int, raw: int, label: str) -> int:
 def _offdiag_codim(gi: int, gj: int, d: int) -> int:
     closed = half_exact(d * (2 * gi + 2 * gj + 1 - 3 * d))
     raw = siegel_dim(gi) + siegel_dim(gj) - siegel_dim(gi - d) - siegel_dim(d) - siegel_dim(gj - d)
-    return _check_two_paths(closed, raw, f"b_offdiag of dimensions {gi}, {gj} at d = {d}")
+    what = f"codimension paths disagree for b_offdiag of dimensions {gi}, {gj} at d = {d}"
+    return agree(what, closed=closed, raw=raw)
 
 
 def _diag_codim(gi: int, d: int) -> int:
     closed = half_exact(d * (4 * gi + 1 - 5 * d))
     raw = siegel_dim(gi) - siegel_dim(gi - 2 * d) - siegel_dim(d)
-    return _check_two_paths(closed, raw, f"b_diag of dimension {gi} at d = {d}")
+    return agree(f"codimension paths disagree for b_diag of dimension {gi} at d = {d}", closed=closed, raw=raw)
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +119,7 @@ def _absorb_codim(gi: int, gc: int) -> int:
     varying factor of dimension gi."""
     closed = half_exact(gc * (2 * gi + 1 - gc))
     raw = siegel_dim(gi) - siegel_dim(gi - gc)
-    return _check_two_paths(closed, raw, f"c of dimensions {gi}, {gc}")
+    return agree(f"codimension paths disagree for c of dimensions {gi}, {gc}", closed=closed, raw=raw)
 
 
 @lru_cache(maxsize=None)
@@ -251,11 +246,13 @@ def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
             if k + l >= 2:
                 raw = ambient - unitary_dim(k // 2, l // 2) - unitary_dim(p - k, q - l)
                 closed = p * l + k * q - quarter_exact(5 * k * l)
-                codim = _check_two_paths(closed, raw, f"unitary_cm({k}, {l}) at ({p}, {q})")
+                what = f"codimension paths disagree for unitary_cm({k}, {l}) at ({p}, {q})"
+                codim = agree(what, closed=closed, raw=raw)
                 out.append(Stratum("unitary_cm", (k, l), ambient, ambient - codim))
     for k in range(1, min(p, q) + 1):
         raw = ambient - siegel_dim(k) - unitary_dim(p - k, q - k)
-        codim = _check_two_paths(k * (p + q) - half_exact(k * (3 * k + 1)), raw, f"unitary_noncm({k}) at ({p}, {q})")
+        closed = k * (p + q) - half_exact(k * (3 * k + 1))
+        codim = agree(f"codimension paths disagree for unitary_noncm({k}) at ({p}, {q})", closed=closed, raw=raw)
         out.append(Stratum("unitary_noncm", (k,), ambient, ambient - codim))
     out.sort(key=Stratum.sort_key)
     return tuple(out)

@@ -21,7 +21,6 @@ from .hecke_groups import (
     max_product_dim_by_pairs,
     two_block_witness_value,
 )
-from .moduli import sp_dim
 from .partitions import (
     bell_number,
     block_sizes,
@@ -60,9 +59,9 @@ class VerificationRun:
         return [c for c in self.cases if not c.agree]
 
 
-def _min_case(inputs: dict, result: MinCodim, expected: int | None, agree: bool, note: str = "") -> CaseRecord:
-    """A stratum-minimum case: the enumerated minimum, named by its witness."""
-    return CaseRecord(inputs, expected, result.codim, agree, witness=result.witness.label, note=note)
+def _min_case(inputs: dict, result: MinCodim, agree: bool, note: str = "") -> CaseRecord:
+    """A stratum-minimum case: the closed form and the enumerated minimum, named by its witness."""
+    return CaseRecord(inputs, result.closed_form, result.codim, agree, witness=result.witness.label, note=note)
 
 
 def _routes_agree(routes: dict[str, int]) -> bool:
@@ -80,12 +79,11 @@ def _unitary_box(g_max: int):
 
 
 def run_product_min(g_max: int) -> VerificationRun:
-    """Minimal codimension in pure products equals 2*g1 - 2."""
+    """Minimal codimension in pure products equals 2*g1 - 2, the closed form with no fixed part."""
     run = VerificationRun("L3.1", f"sorted tuples, entries in [2,{g_max}], length <= 4")
     for dims in _sorted_tuples(range(2, g_max + 1), 4):
         result = mdec_codim_fixedpart(DecompositionShape((), dims))
-        expected = 2 * dims[0] - 2
-        run.cases.append(_min_case({"varying_dims": list(dims)}, result, expected, result.codim == expected))
+        run.cases.append(_min_case({"varying_dims": list(dims)}, result, result.codim == result.closed_form))
     return run
 
 
@@ -108,7 +106,7 @@ def run_fixedpart_min(g_max: int) -> VerificationRun:
             bound_only = result.closed_form is None
             inputs = {"fixed_dims": list(fixed), "varying_dims": list(varying)}
             note = "closed form not asserted (empty absorption strata); bound check only" if bound_only else ""
-            run.cases.append(_min_case(inputs, result, result.closed_form, result.agrees, note))
+            run.cases.append(_min_case(inputs, result, result.agrees, note))
     flagged = sum(c.expected is None for c in run.cases)
     run.notes.append(f"{flagged} shapes flagged with empty absorption strata")
     return run
@@ -120,9 +118,7 @@ def run_unitary_min(g_max: int) -> VerificationRun:
     run.notes.append(NONCM_DISPLAY_NOTE)
     for p, q in _unitary_box(g_max):
         result = mdec_codim_unitary(p, q, strata_of_unitary(p, q))
-        run.cases.append(
-            _min_case({"p": p, "q": q}, result, result.closed_form, result.agrees, note="; ".join(result.notes))
-        )
+        run.cases.append(_min_case({"p": p, "q": q}, result, result.agrees, note="; ".join(result.notes)))
     return run
 
 
@@ -136,9 +132,7 @@ def run_unitary_fixedpart_min(g_max: int) -> VerificationRun:
     for r in range(0, 4):
         for p, q in _unitary_box(g_max):
             result = mdec_codim_unitary(p, q, strata_of_unitary(p, q))
-            run.cases.append(
-                _min_case({"elliptic_count": r, "p": p, "q": q}, result, result.closed_form, result.agrees)
-            )
+            run.cases.append(_min_case({"elliptic_count": r, "p": p, "q": q}, result, result.agrees))
     return run
 
 
@@ -184,7 +178,7 @@ def run_max_product(g_max: int) -> VerificationRun:
     run = VerificationRun("L5.5", f"g in 2..{g_max}")
     for g in range(2, g_max + 1):
         result = max_product_dim(g)
-        routes = {"closed_form": sp_dim(g) - 4, "maximizer": result.value}
+        routes = {"closed_form": result.closed_form, "maximizer": result.value}
         notes = []
         if g <= PAIR_SWEEP_LIMIT:
             routes["pair_sweep"] = max_product_dim_by_pairs(g)[0]

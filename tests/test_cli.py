@@ -128,6 +128,27 @@ class TestExitCodes:
         assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
         assert "unitary_noncm(1) at (2, 3): closed 3, raw 2" in err
 
+    @pytest.mark.parametrize(
+        "name,shift,argv,fragment",
+        [
+            # a lone varying factor of dimension 2 has the one stratum b_diag(1, 1)
+            ("siegel_dim", 1, "strata --varying 2", "b_diag of dimension 2 at d = 1: closed 2, raw 1"),
+            # of these strata only c(1, 1), which absorbs a whole factor, reads siegel_dim(0)
+            ("siegel_dim", 0, "strata --fixed 3 --varying 3", "c of dimensions 3, 3: closed 6, raw 5"),
+            # the unitary_cm strata are enumerated before the unitary_noncm ones
+            ("unitary_dim", 1, "strata --unitary 2,3", "unitary_cm(0, 2) at (2, 3): closed 4, raw 3"),
+        ],
+        ids=["b_diag", "c", "unitary_cm"],
+    )
+    def test_every_two_path_check_exits_2(self, capsys, monkeypatch, name, shift, argv, fragment):
+        # shift 1 adds one to every value; shift 0 adds one to siegel_dim(0) alone
+        real = getattr(strata, name)
+        monkeypatch.setattr(strata, name, lambda *args: real(*args) + (shift or args == (0,)))
+        strata._absorb_codim.cache_clear()  # a memoized c codimension would skip its check
+        code, out, err = invoke(capsys, argv.split(" ") + ["--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == f"moduli-strata: disagreement: codimension paths disagree for {fragment}\n"
+
     def test_budget_disagreement_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(planner, "siegel_boundary_codim", lambda g: BoundaryCodim(1, exact=True))
         code, out, err = invoke(capsys, ["plan", "--varying", "3", "--json"])
@@ -410,6 +431,30 @@ class TestOutputTargets:
         code, out, err = invoke(capsys, ["plan", "--varying", "3", "--out", str(target)])
         assert code == 1 and out == "" and not target.exists()
         assert err.startswith(f"moduli-strata: error: argument --out: cannot write {target}")
+
+    def test_unwritable_out_fails_before_the_work(self, capsys, monkeypatch, tmp_path):
+        def not_reached(*args):
+            raise AssertionError("the suite ran before --out was checked")
+
+        # the CLI holds its own reference, so both names are patched
+        monkeypatch.setattr(verify, "run_check", not_reached)
+        monkeypatch.setattr(cli, "run_check", not_reached)
+        target = tmp_path / "missing" / "x"
+        code, out, err = invoke(capsys, ["verify", "L3.2", "--g-max", "8", "--json", "--out", str(target)])
+        assert code == 1 and out == "" and not target.exists()
+        assert err == f"moduli-strata: error: argument --out: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv,exit_code", [("plan --varying 1", 1), ("strata --varying 2,3", 2)], ids=str)
+    def test_failed_command_leaves_out_as_it_found_it(self, capsys, monkeypatch, tmp_path, argv, exit_code):
+        monkeypatch.setattr(strata, "siegel_dim", lambda g: g * (g + 1) // 2 + 1)  # the strata paths disagree
+        created, found = tmp_path / "created", tmp_path / "found"
+        found.write_text("an earlier report\n")
+        before = found.stat().st_mtime_ns
+        for target in (created, found):
+            code, out, _ = invoke(capsys, argv.split(" ") + ["--json", "--out", str(target)])
+            assert code == exit_code and out == ""
+        assert not created.exists()
+        assert found.read_text() == "an earlier report\n" and found.stat().st_mtime_ns == before
 
     @pytest.mark.parametrize("lemma,g_max", [("L5.5", 1), ("L3.1", -3), ("C5.6", 1), ("C5.3-increment", 0)])
     def test_empty_verify_box_is_usage_error(self, capsys, lemma, g_max):

@@ -2,8 +2,14 @@
 
 The benchmark tracer (``perfbench/trace_worker.py``) looks up every entry
 of ``__all__``, so a stale entry breaks traced runs.  The report shapes
-live in ``cli`` alone, so no library module keeps one.
+live in ``cli`` alone, so no library module keeps one, and an equality of
+routes is enforced by ``errors.agree`` alone.
 """
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import moduli_strata
 from moduli_strata import errors, hecke_groups, moduli, partitions, planner, strata, verify
@@ -17,7 +23,8 @@ DELETED = ("Siegel", "UnitarySpace", "ModuliSpace", "boundary_codim", "sp_total_
            "mdec_codim_product", "SetPartition", "partition_from_rgs", "realize_matrix", "intersection_matrix",
            "mdec_codim_unitary_fixedpart", "spec_to_dict", "atom_to_dict",
            "GroundTooSmall", "GroundMismatch", "NotProper", "SpecInvalid", "InvalidShape", "RankTooSmall",
-           "VaryingDimTooSmall", "TargetTooLarge", "UnitaryBoundViolated", "UnrealizableTarget", "GenusTooSmall")
+           "VaryingDimTooSmall", "TargetTooLarge", "UnitaryBoundViolated", "UnrealizableTarget", "GenusTooSmall",
+           "_check_two_paths")
 
 
 def test_no_duplicates():
@@ -48,3 +55,30 @@ def test_one_exception_per_exit_code():
 def test_no_library_record_shapes_its_report():
     classes = {value for module in LIBRARY for value in vars(module).values() if isinstance(value, type)}
     assert sorted(c.__name__ for c in classes if "to_dict" in vars(c)) == []
+
+
+def test_agree_returns_the_common_value_or_names_every_route():
+    assert errors.agree("same", a=3, b=3, c=3) == 3
+    with pytest.raises(errors.Disagreement) as info:
+        errors.agree("what", a=1, b=2)
+    assert info.value.values == {"a": 1, "b": 2} and str(info.value) == "what: a 1, b 2"
+    with pytest.raises(errors.Disagreement, match="^what: a 1, b 1, c 2$"):
+        errors.agree("what", a=1, b=1, c=2)
+
+
+#: Where ``Disagreement`` is built: ``agree``, and the two checks that are no
+#: equality of routes, the fixed-part bound and matrix-type uniqueness.
+DISAGREEMENT_SITES = [
+    ("errors.py", "agree"), ("hecke_groups.py", "max_product_dim"), ("strata.py", "mdec_codim_fixedpart"),
+]
+
+
+def test_routes_are_compared_only_through_agree():
+    sites = []
+    for path in sorted(Path(moduli_strata.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "Disagreement":
+                    sites.append((path.name, getattr(top, "name", None)))
+    assert sorted(sites) == DISAGREEMENT_SITES

@@ -107,7 +107,7 @@ class TestMaxProductDim:
     @pytest.mark.parametrize("g,expected", [(2, 6), (3, 17), (4, 32), (5, 51)])
     def test_values(self, g, expected):
         r = max_product_dim(g)
-        assert r.value == expected == sp_dim(g) - 4
+        assert r.value == expected == sp_dim(g) - 4 == r.closed_form
 
     def test_witness_realized_by_spec_pair(self):
         r = max_product_dim(3)
