@@ -26,7 +26,6 @@ from .moduli import (
     SpAtom,
     SUFormAtom,
     siegel_boundary_codim,
-    siegel_dim,
     torelli_codim,
     unitary_boundary_codim,
     unitary_dim,
@@ -36,7 +35,6 @@ from .strata import (
     mdec_codim_fixedpart,
     mdec_codim_unitary,
     strata_of_unitary,
-    unitary_closed_form,
 )
 
 
@@ -101,7 +99,7 @@ def plan_family(spec: FamilySpec) -> PlanReport:
     notes: list[str] = []
     if isinstance(spec, SymplecticFamily):
         sizes = spec.fixed_dims + spec.varying_dims
-        ambient = sum(siegel_dim(d) for d in spec.varying_dims)
+        ambient = spec.ambient_dim
         mdec = mdec_codim_fixedpart(spec)
         # each factor's boundary codimension is exactly its dimension
         boundary = siegel_boundary_codim(spec.varying_dims[0])
@@ -129,10 +127,10 @@ def plan_family(spec: FamilySpec) -> PlanReport:
         notes.append(
             f"{spec.elliptic_count} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"
         )
-        closed = unitary_closed_form(spec.p, spec.q)
-        if closed is not None and d_max != closed - 1:
+        # p+q >= 4 asserts the closed form, and the boundary p+q-1 lies above it
+        if not mdec.agrees:
             notes.append(
-                f"d_max {d_max} is below the closed-form bound {closed - 1}; "
+                f"d_max {d_max} is below the closed-form bound {mdec.closed_form - 1}; "
                 "the stratum enumeration is authoritative"
             )
     if len(sizes) < 2:

@@ -82,15 +82,24 @@ class DecompositionShape(namedtuple("DecompositionShape", "fixed_dims varying_di
     def total_g(self) -> int:
         return sum(self.fixed_dims) + sum(self.varying_dims)
 
+    @property
+    def ambient_dim(self) -> int:
+        """Dimension of the product of the varying factors' Siegel spaces."""
+        return sum(siegel_dim(d) for d in self.varying_dims)
 
-class MinCodim(namedtuple("MinCodim", "codim witness closed_form agrees notes", defaults=((),))):
+
+class MinCodim(namedtuple("MinCodim", "codim witness closed_form notes", defaults=((),))):
     """Minimum codimension over a stratum family, with audit trail.
 
-    ``closed_form`` is the published formula's value where one applies;
-    ``agrees`` records whether the computed minimum matches it.
+    ``closed_form`` is the published formula's value where one applies.
     """
 
     __slots__ = ()
+
+    @property
+    def agrees(self) -> bool:
+        """Whether the computed minimum matches the closed form, where one is asserted."""
+        return self.closed_form is None or self.codim == self.closed_form
 
 
 # Each stratum codimension depends only on the dimensions involved, never
@@ -145,7 +154,7 @@ def strata_of_shape(shape: DecompositionShape) -> tuple[Stratum, ...]:
     the memoized minimum in ``mdec_codim_fixedpart``.
     """
     dims = shape.varying_dims
-    ambient = sum(siegel_dim(d) for d in dims)
+    ambient = shape.ambient_dim
     out: list[Stratum] = []
     for i, gi in enumerate(dims, start=1):
         for j in range(i + 1, len(dims) + 1):
@@ -169,16 +178,10 @@ def fixedpart_closed_form(shape: DecompositionShape) -> int | None:
     realizable, i.e. max(fixed) <= min(varying).
     """
     gv1 = shape.varying_dims[0]
-    if not shape.fixed_dims:
-        return 2 * gv1 - 2
-    if shape.fixed_dims[-1] > gv1:
+    ends = shape.fixed_dims[:1] + shape.fixed_dims[-1:]
+    if ends and ends[-1] > gv1:
         return None
-    gc1, gcr = shape.fixed_dims[0], shape.fixed_dims[-1]
-    return min(
-        2 * gv1 - 2,
-        half_exact(gc1 * (2 * gv1 + 1 - gc1)),
-        half_exact(gcr * (2 * gv1 + 1 - gcr)),
-    )
+    return min([2 * gv1 - 2] + [half_exact(x * (2 * gv1 + 1 - x)) for x in ends])
 
 
 def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
@@ -207,13 +210,12 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
             else:
                 excluded.append((i, j))
     codim, kind, params = min(candidates)
-    ambient = sum(siegel_dim(d) for d in dims)
+    ambient = shape.ambient_dim
     witness = Stratum(kind, params, ambient, ambient - codim)
     gv1 = dims[0]
     if codim < gv1:
         raise Disagreement(f"fixed-part minimum below its bound for {shape}", minimum=codim, bound=gv1)
     closed = fixedpart_closed_form(shape)
-    agrees = closed is None or codim == closed
     notes: list[str] = []
     if excluded:
         notes.append(
@@ -221,11 +223,9 @@ def mdec_codim_fixedpart(shape: DecompositionShape) -> MinCodim:
             + ", ".join(f"c{p}" for p in excluded)
             + " are empty (fixed dimension exceeds a varying dimension)"
         )
-    elif not agrees:
-        notes.append(
-            f"enumerated minimum {codim} differs from closed form {closed}"
-        )
-    return MinCodim(codim, witness, closed, agrees, tuple(notes))
+    elif closed != codim:
+        notes.append(f"enumerated minimum {codim} differs from closed form {closed}")
+    return MinCodim(codim, witness, closed, tuple(notes))
 
 
 def strata_of_unitary(p: int, q: int) -> tuple[Stratum, ...]:
@@ -283,8 +283,7 @@ def mdec_codim_unitary(p: int, q: int, strata: tuple[Stratum, ...]) -> MinCodim:
     witness = min(strata, key=Stratum.sort_key)
     closed = unitary_closed_form(p, q)
     notes: list[str] = []
-    agrees = closed is None or witness.codim == closed
-    if not agrees:
+    if closed is not None and closed != witness.codim:
         notes.append(
             f"enumerated minimum {witness.codim} is below the closed form "
             f"min(2p, p+q-2, 2q) = {closed}; witness {witness.label} has "
@@ -299,5 +298,5 @@ def mdec_codim_unitary(p: int, q: int, strata: tuple[Stratum, ...]) -> MinCodim:
                 f"largest unitary_cm stratum is {top.label} with k+l > 2 "
                 f"(dimension {top.stratum_dim}); the k+l = 2 strata are smaller"
             )
-    return MinCodim(witness.codim, witness, closed, agrees, tuple(notes))
+    return MinCodim(witness.codim, witness, closed, tuple(notes))
 

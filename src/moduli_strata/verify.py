@@ -1,9 +1,11 @@
 """Named verification suites: closed forms versus independent enumeration.
 
 Each suite sweeps a parameter box, recomputes a published closed form by
-brute-force enumeration, and returns every case in a ``VerificationRun``;
-the command line shapes the report.  Disagreements are data, never
-suppressed: they flip the ``agree`` flag and drive the exit code.
+brute-force enumeration, and returns its range, cases and notes, which
+``run_check`` wraps in a ``VerificationRun``; the command line shapes the
+report.  ``_min_case`` and ``_routes_case`` build every case and derive its
+verdict from the values it judges.  Disagreements are data, never
+suppressed: they clear the ``agree`` flag and drive the exit code.
 """
 
 from __future__ import annotations
@@ -48,25 +50,30 @@ class VerificationRun:
 
     __slots__ = ("lemma_id", "parameter_range", "cases", "notes")
 
-    def __init__(self, lemma_id: str, parameter_range: str) -> None:
+    def __init__(self, lemma_id: str, parameter_range: str, cases: list[CaseRecord], notes: list[str]) -> None:
         self.lemma_id = lemma_id
         self.parameter_range = parameter_range
-        self.cases: list[CaseRecord] = []
-        self.notes: list[str] = []
+        self.cases = cases
+        self.notes = notes
 
     @property
     def disagreements(self) -> list[CaseRecord]:
         return [c for c in self.cases if not c.agree]
 
 
-def _min_case(inputs: dict, result: MinCodim, agree: bool, note: str = "") -> CaseRecord:
+#: What each suite returns: its parameter range, its cases and its notes.
+SuiteResult = tuple[str, list[CaseRecord], list[str]]
+
+
+def _min_case(inputs: dict, result: MinCodim, note: str = "") -> CaseRecord:
     """A stratum-minimum case: the closed form and the enumerated minimum, named by its witness."""
-    return CaseRecord(inputs, result.closed_form, result.codim, agree, witness=result.witness.label, note=note)
+    return CaseRecord(inputs, result.closed_form, result.codim, result.agrees, witness=result.witness.label, note=note)
 
 
-def _routes_agree(routes: dict[str, int]) -> bool:
-    """A case agrees when every route gives the same value."""
-    return len(set(routes.values())) == 1
+def _routes_case(inputs: dict, routes: dict[str, int], witness: object = None, note: str = "") -> CaseRecord:
+    """Expected is the first route, computed the second; the case agrees when every route gives one value."""
+    expected, computed, *_ = routes.values()
+    return CaseRecord(inputs, expected, computed, len(set(routes.values())) == 1, witness, note)
 
 
 def _sorted_tuples(values: range, max_len: int):
@@ -78,16 +85,16 @@ def _unitary_box(g_max: int):
     return ((p, q) for p in range(1, g_max + 1) for q in range(1, g_max + 1) if p + q >= 3)
 
 
-def run_product_min(g_max: int) -> VerificationRun:
+def run_product_min(g_max: int) -> SuiteResult:
     """Minimal codimension in pure products equals 2*g1 - 2, the closed form with no fixed part."""
-    run = VerificationRun("L3.1", f"sorted tuples, entries in [2,{g_max}], length <= 4")
-    for dims in _sorted_tuples(range(2, g_max + 1), 4):
-        result = mdec_codim_fixedpart(DecompositionShape((), dims))
-        run.cases.append(_min_case({"varying_dims": list(dims)}, result, result.codim == result.closed_form))
-    return run
+    cases = [
+        _min_case({"varying_dims": list(dims)}, mdec_codim_fixedpart(DecompositionShape((), dims)))
+        for dims in _sorted_tuples(range(2, g_max + 1), 4)
+    ]
+    return f"sorted tuples, entries in [2,{g_max}], length <= 4", cases, []
 
 
-def run_fixedpart_min(g_max: int) -> VerificationRun:
+def run_fixedpart_min(g_max: int) -> SuiteResult:
     """Fixed-part minimum equals its closed form wherever that is asserted.
 
     Shapes whose fixed part exceeds some varying factor have empty
@@ -97,75 +104,70 @@ def run_fixedpart_min(g_max: int) -> VerificationRun:
     dimension; ``mdec_codim_fixedpart`` raises ``Disagreement`` when it is
     not, which ends the run with exit code 2.
     """
-    run = VerificationRun("L3.2", f"fixed/varying dims <= {g_max}, <= 3 factors each")
     fixed_choices = [()] + list(_sorted_tuples(range(1, g_max + 1), 3))
     varying_choices = list(_sorted_tuples(range(2, g_max + 1), 3))
+    cases = []
     for fixed in fixed_choices:
         for varying in varying_choices:
             result = mdec_codim_fixedpart(DecompositionShape(fixed, varying))
             bound_only = result.closed_form is None
             inputs = {"fixed_dims": list(fixed), "varying_dims": list(varying)}
             note = "closed form not asserted (empty absorption strata); bound check only" if bound_only else ""
-            run.cases.append(_min_case(inputs, result, result.agrees, note))
-    flagged = sum(c.expected is None for c in run.cases)
-    run.notes.append(f"{flagged} shapes flagged with empty absorption strata")
-    return run
+            cases.append(_min_case(inputs, result, note))
+    notes = [f"{sum(c.expected is None for c in cases)} shapes flagged with empty absorption strata"]
+    return f"fixed/varying dims <= {g_max}, <= 3 factors each", cases, notes
 
 
-def run_unitary_min(g_max: int) -> VerificationRun:
+def run_unitary_min(g_max: int) -> SuiteResult:
     """Unitary minimal codimension versus min(2p, p+q-2, 2q)."""
-    run = VerificationRun("L3.3", f"1 <= p, q <= {g_max}, p+q >= 3")
-    run.notes.append(NONCM_DISPLAY_NOTE)
+    cases = []
     for p, q in _unitary_box(g_max):
         result = mdec_codim_unitary(p, q, strata_of_unitary(p, q))
-        run.cases.append(_min_case({"p": p, "q": q}, result, result.agrees, note="; ".join(result.notes)))
-    return run
+        cases.append(_min_case({"p": p, "q": q}, result, note="; ".join(result.notes)))
+    return f"1 <= p, q <= {g_max}, p+q >= 3", cases, [NONCM_DISPLAY_NOTE]
 
 
-def run_unitary_fixedpart_min(g_max: int) -> VerificationRun:
+def run_unitary_fixedpart_min(g_max: int) -> SuiteResult:
     """The L3.3 minimum, re-read for each fixed elliptic count r in 0..3.
 
     No stratum depends on r yet, so each case repeats the L3.3 case at (p, q).
     """
-    run = VerificationRun("L3.4", f"r in 0..3, 1 <= p, q <= {g_max}, p+q >= 3")
-    run.notes.append(NONCM_DISPLAY_NOTE)
-    for r in range(0, 4):
-        for p, q in _unitary_box(g_max):
-            result = mdec_codim_unitary(p, q, strata_of_unitary(p, q))
-            run.cases.append(_min_case({"elliptic_count": r, "p": p, "q": q}, result, result.agrees))
-    return run
+    cases = [
+        _min_case({"elliptic_count": r, "p": p, "q": q}, mdec_codim_unitary(p, q, strata_of_unitary(p, q)))
+        for r in range(0, 4)
+        for p, q in _unitary_box(g_max)
+    ]
+    return f"r in 0..3, 1 <= p, q <= {g_max}, p+q >= 3", cases, [NONCM_DISPLAY_NOTE]
 
 
-def run_gamma_increment(g_max: int) -> VerificationRun:
+def run_gamma_increment(g_max: int) -> SuiteResult:
     """Inserting one element into a block of size l adds exactly 4l + 3.
 
     For every partition of every ground size up to g_max and every
     insertion position (including a new singleton block), the subgroup
-    dimension grows by 4l + 3.
+    dimension grows by 4l + 3.  A ground's case counts its insertions
+    (expected) and those that grow by 4l + 3 (computed).
     """
-    run = VerificationRun("C5.3-increment", f"all partitions on grounds 2..{g_max}, all insertions")
+    cases = []
     for g in range(2, g_max + 1):
-        checks = 0
-        failures = 0
+        insertions = 0
+        exact = 0
         for part in iter_all_partitions(g):
             sizes = block_sizes(part)
             base = gamma_dim(sizes)
             # element g + 1 joins block idx; idx = len(sizes) opens a singleton
             for idx, l in enumerate(sizes + (0,)):
-                checks += 1
-                if gamma_dim(block_sizes(part + (idx,))) - base != 4 * l + 3:
-                    failures += 1
-        run.cases.append(
-            CaseRecord({"ground": g}, checks, checks - failures, failures == 0)
-        )
-    return run
+                insertions += 1
+                exact += gamma_dim(block_sizes(part + (idx,))) - base == 4 * l + 3
+        cases.append(_routes_case({"ground": g}, {"insertions": insertions, "exact_increments": exact}))
+    return f"all partitions on grounds 2..{g_max}, all insertions", cases, []
 
 
 #: Largest ground size at which L5.5 also runs the direct pair sweep.
 PAIR_SWEEP_LIMIT = 9
 
 
-def run_max_product(g_max: int) -> VerificationRun:
+def run_max_product(g_max: int) -> SuiteResult:
     """Maximum product dimension equals 2g^2 + g - 4.
 
     The maximizer takes the completion-search value at every g; up to
@@ -175,7 +177,7 @@ def run_max_product(g_max: int) -> VerificationRun:
     (Bell(g) - 1)^2 pairs it covers by relabelling invariance, and the
     two-block witness family is checked to attain the maximum.
     """
-    run = VerificationRun("L5.5", f"g in 2..{g_max}")
+    cases = []
     for g in range(2, g_max + 1):
         result = max_product_dim(g)
         routes = {"closed_form": result.closed_form, "maximizer": result.value}
@@ -185,32 +187,25 @@ def run_max_product(g_max: int) -> VerificationRun:
             notes.append(f"pair sweep over {(bell_number(g) - 1) ** 2} pairs gives {routes['pair_sweep']}")
         routes["two_block"] = two_block_witness_value(g)
         notes.append(f"two-block family attains {routes['two_block']}")
-        run.cases.append(
-            CaseRecord(
-                {"g": g},
-                routes["closed_form"],
-                result.value,
-                _routes_agree(routes),
-                witness=[list(r) for r in result.witness.entries],
-                note="; ".join(notes),
-            )
-        )
-    return run
+        witness = [list(r) for r in result.witness.entries]
+        cases.append(_routes_case({"g": g}, routes, witness, "; ".join(notes)))
+    return f"g in 2..{g_max}", cases, []
 
 
 #: Largest ground size at which C5.6 also runs the direct pair sweep.
 PAIR_ROUTE_LIMIT = 5
 
 
-def run_translate_margin(g_max: int) -> VerificationRun:
+def run_translate_margin(g_max: int) -> SuiteResult:
     """Translate codimension equals 4(g - largest block), hence is >= 4.
 
     The closed form is the expected value and the completion search the
     computed one; up to PAIR_ROUTE_LIMIT the direct pair sweep must agree
     too.  The value depends only on the block-size multiset, so each
-    multiset class is verified once and covers all its partitions.
+    multiset class is verified once and covers all its partitions.  A
+    disagreeing case names every route in its witness.
     """
-    run = VerificationRun("C5.6", f"g in 2..{g_max}, all proper partition classes")
+    cases = []
     for g in range(2, g_max + 1):
         for sizes in proper_classes(g):
             routes = {
@@ -219,22 +214,14 @@ def run_translate_margin(g_max: int) -> VerificationRun:
             }
             if g <= PAIR_ROUTE_LIMIT:
                 routes["pair_sweep"] = gamma_gamma_codim_by_pairs(sizes)
-            agree = _routes_agree(routes)
-            run.cases.append(
-                CaseRecord(
-                    {"g": g, "block_sizes": list(sizes)},
-                    routes["closed_form"],
-                    routes["completion_search"],
-                    agree,
-                    witness=None if agree else {"block_sizes": list(sizes), **routes},
-                )
-            )
-    run.notes.append(
+            case = _routes_case({"g": g, "block_sizes": list(sizes)}, routes)
+            cases.append(case if case.agree else case._replace(witness={"block_sizes": list(sizes), **routes}))
+    notes = [
         f"routes: closed form 4(g - largest block) (expected) vs completion search (computed) for g "
-        f"in 2..{g_max}; direct pair sweep also for g in 2..{min(g_max, PAIR_ROUTE_LIMIT)}"
-    )
-    run.notes.append("class values cover every partition with the same block sizes")
-    return run
+        f"in 2..{g_max}; direct pair sweep also for g in 2..{min(g_max, PAIR_ROUTE_LIMIT)}",
+        "class values cover every partition with the same block sizes",
+    ]
+    return f"g in 2..{g_max}, all proper partition classes", cases, notes
 
 
 class CheckSpec(namedtuple("CheckSpec", "runner default_g_max")):
@@ -259,15 +246,15 @@ CHECKS: dict[str, CheckSpec] = {
 
 
 def run_check(check_id: str, g_max: int | None = None) -> VerificationRun:
-    """Run one named suite; unknown ids raise KeyError.
+    """Run one named suite, named by its ``CHECKS`` key; unknown ids raise KeyError.
 
     A box that holds no case raises DimensionCalculusError: a run that checks
     nothing must not report that everything agrees.
     """
     spec = CHECKS[check_id]
-    run = spec.runner(g_max if g_max is not None else spec.default_g_max)
-    if not run.cases:
+    parameter_range, cases, notes = spec.runner(g_max if g_max is not None else spec.default_g_max)
+    if not cases:
         raise DimensionCalculusError(
             f"{check_id} checks no case at --g-max {g_max}; the smallest box is --g-max {MIN_G_MAX}"
         )
-    return run
+    return VerificationRun(check_id, parameter_range, cases, notes)

@@ -177,17 +177,21 @@ class TestExitCodes:
         assert code == 2 and json.loads(out)["result"]["agrees"] is False
 
     def test_product_minimum_disagreement_is_recorded(self, capsys, monkeypatch):
-        computed = verify.mdec_codim_fixedpart
-
-        def off_by_one(shape):
-            r = computed(shape)
-            return strata.MinCodim(r.codim + (shape.varying_dims == (3, 3)), r.witness, r.closed_form, r.agrees)
-
-        monkeypatch.setattr(verify, "mdec_codim_fixedpart", off_by_one)
-        code, out, err = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--json"])
-        assert code == 2 and "Traceback" not in err
-        bad = [c for c in json.loads(out)["result"]["cases"] if not c["agree"]]
+        _shift_minimum(monkeypatch, "mdec_codim_fixedpart", lambda shape: shape.varying_dims == (3, 3))
+        bad = _failed_cases(capsys, "L3.1 --g-max 3")
         assert [(c["input"]["varying_dims"], c["expected"], c["computed"]) for c in bad] == [([3, 3], 4, 5)]
+
+    def test_fixedpart_minimum_disagreement_is_recorded(self, capsys, monkeypatch):
+        # every fixed part up to 3 fits under a varying (3, 3), so each of the 20 asserts its closed form
+        _shift_minimum(monkeypatch, "mdec_codim_fixedpart", lambda shape: shape.varying_dims == (3, 3))
+        bad = _failed_cases(capsys, "L3.2 --g-max 3")
+        assert len(bad) == 20 and all(c["input"]["varying_dims"] == [3, 3] for c in bad)
+        assert sorted(c["computed"] - c["expected"] for c in bad) == [1] * 20
+
+    def test_unitary_minimum_disagreement_is_recorded(self, capsys, monkeypatch):
+        _shift_minimum(monkeypatch, "mdec_codim_unitary", lambda p, q, strata: (p, q) == (2, 3))
+        bad = _failed_cases(capsys, "L3.3 --g-max 3")
+        assert [(c["input"]["p"], c["input"]["q"]) for c in bad] == [(2, 2), (2, 3), (3, 3)]
 
     def test_fixedpart_below_bound_exits_2(self, capsys, monkeypatch):
         # the memoized b_diag minimum reports a codimension-1 stratum
@@ -254,14 +258,30 @@ class TestExitCodes:
         assert [(c["input"]["p"], c["input"]["q"]) for c in bad] == [(2, 2), (3, 3)]
 
 
-def _failed_max_product_cases(capsys) -> list[int]:
-    """The g of each disagreeing case of ``verify L5.5 --g-max 5``, which must exit 2."""
-    code, out, err = invoke(capsys, ["verify", "L5.5", "--g-max", "5", "--json"])
+def _shift_minimum(monkeypatch, name: str, where) -> None:
+    """Raise by one the minimum that ``verify.<name>`` returns for the arguments ``where`` accepts."""
+    computed = getattr(verify, name)
+
+    def shifted(*args):
+        r = computed(*args)
+        return r._replace(codim=r.codim + 1) if where(*args) else r
+
+    monkeypatch.setattr(verify, name, shifted)
+
+
+def _failed_cases(capsys, request: str) -> list[dict]:
+    """The disagreeing cases of ``verify <request> --json``, which must exit 2."""
+    code, out, err = invoke(capsys, ["verify", *request.split(" "), "--json"])
     assert code == 2 and "Traceback" not in err
     result = json.loads(out)["result"]
-    bad = [c["input"]["g"] for c in result["cases"] if not c["agree"]]
+    bad = [c for c in result["cases"] if not c["agree"]]
     assert result["summary"]["disagreements"] == len(bad)
     return bad
+
+
+def _failed_max_product_cases(capsys) -> list[int]:
+    """The g of each disagreeing case of ``verify L5.5 --g-max 5``, which must exit 2."""
+    return [c["input"]["g"] for c in _failed_cases(capsys, "L5.5 --g-max 5")]
 
 
 def test_strata_unitary_enumerates_once(capsys, monkeypatch):

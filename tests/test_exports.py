@@ -2,8 +2,9 @@
 
 The benchmark tracer (``perfbench/trace_worker.py``) looks up every entry
 of ``__all__``, so a stale entry breaks traced runs.  The report shapes
-live in ``cli`` alone, so no library module keeps one, and an equality of
-routes is enforced by ``errors.agree`` alone.
+live in ``cli`` alone, so no library module keeps one, an equality of
+routes is enforced by ``errors.agree`` alone, and every verification case
+is built by one of two builders in ``verify``.
 """
 
 import ast
@@ -73,12 +74,25 @@ DISAGREEMENT_SITES = [
 ]
 
 
-def test_routes_are_compared_only_through_agree():
+#: Where ``CaseRecord`` is built: the two builders that derive each verdict.
+CASE_SITES = [("verify.py", "_min_case"), ("verify.py", "_routes_case")]
+
+
+def _call_sites(callee: str) -> list[tuple[str, str | None]]:
+    """(module file, top-level definition) of every call to ``callee`` in the package."""
     sites = []
     for path in sorted(Path(moduli_strata.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 func = getattr(node, "func", None)
-                if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "Disagreement":
+                if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == callee:
                     sites.append((path.name, getattr(top, "name", None)))
-    assert sorted(sites) == DISAGREEMENT_SITES
+    return sorted(sites)
+
+
+def test_routes_are_compared_only_through_agree():
+    assert _call_sites("Disagreement") == DISAGREEMENT_SITES
+
+
+def test_cases_are_built_only_by_the_two_builders():
+    assert _call_sites("CaseRecord") == CASE_SITES

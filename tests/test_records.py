@@ -1,9 +1,11 @@
-"""The package's records: immutable named tuples and one mutable report builder.
+"""The package's records: immutable named tuples and the verification run.
 
 Records are ``collections.namedtuple`` subclasses, so importing the CLI
 does not load ``dataclasses``; these tests pin what a record type change
 could move without any output changing: validation messages, immutability,
 reprs quoted in disagreement messages, canonical orders and hashing.
+``VerificationRun`` is a slotted class that ``run_check`` builds once, and
+a verdict such as ``MinCodim.agrees`` is derived from the values it judges.
 """
 
 import json
@@ -19,6 +21,7 @@ from moduli_strata import (
     BoundaryCodim,
     CaseRecord,
     DecompositionShape,
+    MinCodim,
     DimensionCalculusError,
     GroupExpr,
     IntersectionMatrix,
@@ -32,6 +35,8 @@ from moduli_strata import (
     enumerate_proper_partitions,
     kodaira_budget,
     max_product_dim,
+    mdec_codim_fixedpart,
+    mdec_codim_unitary,
     max_product_dim_by_pairs,
     plan_family,
     run_check,
@@ -41,7 +46,7 @@ from moduli_strata import (
 from moduli_strata.hecke_groups import two_block_witness_value
 from moduli_strata.moduli import quarter_exact, siegel_dim, unitary_dim
 from moduli_strata.partitions import proper_classes
-from moduli_strata.verify import CHECKS
+from moduli_strata.verify import CHECKS, MIN_G_MAX
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -178,9 +183,25 @@ def test_row_permuted_matrices_are_one_key():
     assert len({a, b}) == 1
 
 
-def test_verification_runs_share_no_lists():
-    first, second = VerificationRun("L3.1", "a"), VerificationRun("L3.2", "b")
-    first.cases.append("case")
-    first.notes.append("note")
-    assert second.cases == [] and second.notes == []
-    assert first.cases is not second.cases and first.notes is not second.notes
+def test_run_check_returns_a_run_whose_cases_are_a_list():
+    # the benchmark tracer sizes a tuple by its length and a run by its cases
+    run = run_check("L3.1", MIN_G_MAX)
+    assert isinstance(run, VerificationRun) and not isinstance(run, tuple)
+    assert isinstance(run.cases, list) and isinstance(run.notes, list)
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_every_run_is_named_by_its_checks_key(check_id):
+    assert run_check(check_id, MIN_G_MAX).lemma_id == check_id
+
+
+@pytest.mark.parametrize(
+    "minimum",
+    [mdec_codim_fixedpart(DecompositionShape((1,), (3, 3))), mdec_codim_unitary(2, 3, strata_of_unitary(2, 3))],
+    ids=["fixedpart", "unitary"],
+)
+def test_min_codim_derives_its_verdict(minimum):
+    assert "agrees" not in MinCodim._fields
+    assert minimum.closed_form is not None and minimum.agrees is True
+    assert minimum._replace(codim=minimum.codim + 1).agrees is False
+    assert minimum._replace(closed_form=None, codim=minimum.codim + 1).agrees is True
