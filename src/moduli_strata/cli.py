@@ -176,8 +176,14 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         blocks = (_render_text(payload),)
     if args.out:
         _write_out(args.out, blocks)
-    else:
+        return
+    try:
         sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:  # the flush at exit must not fail again (Python's SIGPIPE note)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _render_lines(value: dict | list, indent: int = 0) -> Iterator[str]:
@@ -260,18 +266,19 @@ def _plan_dict(report) -> dict:
 
 
 def _kodaira_dict(report) -> dict:
+    plan = report.plan
     return {
         "fiber_genus": report.fiber_genus,
-        "spec": _spec_dict(report.spec),
-        "mdec_codim": report.mdec.codim,
-        "mdec_witness": _stratum_dict(report.mdec.witness),
-        "boundary_codim": report.boundary.codim,
-        "boundary_exact": report.boundary.exact,
+        "spec": _spec_dict(plan.spec),
+        "mdec_codim": plan.mdec.codim,
+        "mdec_witness": _stratum_dict(plan.mdec.witness),
+        "boundary_codim": plan.boundary.codim,
+        "boundary_exact": plan.boundary.exact,
         "torelli_codim": report.torelli_codim,
         "post_torelli_budget": report.post_torelli_budget,
         "feasible": report.feasible,
-        "monodromy": report.monodromy.label,
-        "monodromy_dim": report.monodromy.dim,
+        "monodromy": plan.monodromy.label,
+        "monodromy_dim": plan.monodromy_dim,
     }
 
 

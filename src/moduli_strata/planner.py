@@ -28,7 +28,6 @@ from .moduli import (
     siegel_boundary_codim,
     torelli_codim,
     unitary_boundary_codim,
-    unitary_dim,
 )
 from .strata import (
     DecompositionShape,
@@ -73,16 +72,34 @@ def derived_mt(spec: FamilySpec) -> GroupExpr:
     return GroupExpr.of([SUFormAtom(spec.p, spec.q)])
 
 
-class PlanReport(
-    namedtuple(
-        "PlanReport",
-        "spec total_g ambient_dim mdec boundary budget d_max monodromy monodromy_dim hecke_margin feasible notes",
-        defaults=((),),
-    )
-):
-    """Everything the budget arithmetic produces for one family spec."""
+class PlanReport(namedtuple("PlanReport", "spec mdec boundary monodromy hecke_margin notes", defaults=((),))):
+    """What ``plan_family`` computes for one family spec; budget, d_max and feasibility derive from it."""
 
     __slots__ = ()
+
+    @property
+    def total_g(self) -> int:
+        return self.spec.total_g
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.mdec.witness.ambient_dim
+
+    @property
+    def budget(self) -> int:
+        return min(self.mdec.codim, self.boundary.codim)
+
+    @property
+    def d_max(self) -> int:
+        return self.budget - 1
+
+    @property
+    def monodromy_dim(self) -> int:
+        return self.monodromy.dim
+
+    @property
+    def feasible(self) -> bool:
+        return self.d_max >= 1
 
 
 def plan_family(spec: FamilySpec) -> PlanReport:
@@ -99,7 +116,6 @@ def plan_family(spec: FamilySpec) -> PlanReport:
     notes: list[str] = []
     if isinstance(spec, SymplecticFamily):
         sizes = spec.fixed_dims + spec.varying_dims
-        ambient = spec.ambient_dim
         mdec = mdec_codim_fixedpart(spec)
         # each factor's boundary codimension is exactly its dimension
         boundary = siegel_boundary_codim(spec.varying_dims[0])
@@ -108,29 +124,23 @@ def plan_family(spec: FamilySpec) -> PlanReport:
                 "fixed factors are assumed pairwise non-isogenous, non-isogenous to "
                 "every varying factor, and (for the varying factors) general in moduli"
             )
+        notes.extend(mdec.notes)
     else:
         sizes = (1,) * spec.elliptic_count + (spec.p + spec.q,)
-        ambient = unitary_dim(spec.p, spec.q)
         mdec = mdec_codim_unitary(spec.p, spec.q, strata_of_unitary(spec.p, spec.q))
         boundary = unitary_boundary_codim(spec.p, spec.q)
         notes.append(
             "fixed elliptic factors are assumed pairwise non-isogenous and without "
             "extra endomorphisms; the varying factor is assumed general in its moduli"
         )
-    budget = min(mdec.codim, boundary.codim)
-    d_max = budget - 1
-    monodromy = derived_mt(spec)
-    notes.extend(mdec.notes)
-    if isinstance(spec, SymplecticFamily):
-        agree(f"symplectic budget for {spec}", d_max=d_max, min_varying_minus_one=min(spec.varying_dims) - 1)
-    else:
+        notes.extend(mdec.notes)
         notes.append(
             f"{spec.elliptic_count} fixed elliptic factor(s) contribute no strata; minimum equals the r = 0 case"
         )
-        # p+q >= 4 asserts the closed form, and the boundary p+q-1 lies above it
+        # unitary_noncm(1) has codim p+q-2, below the boundary p+q-1, so the budget is mdec.codim
         if not mdec.agrees:
             notes.append(
-                f"d_max {d_max} is below the closed-form bound {mdec.closed_form - 1}; "
+                f"d_max {mdec.codim - 1} is below the closed-form bound {mdec.closed_form - 1}; "
                 "the stratum enumeration is authoritative"
             )
     if len(sizes) < 2:
@@ -138,20 +148,10 @@ def plan_family(spec: FamilySpec) -> PlanReport:
         notes.append("decomposition has a single factor; no translate margin to compute")
     else:
         margin = gamma_gamma_codim(sizes)
-    return PlanReport(
-        spec=spec,
-        total_g=spec.total_g,
-        ambient_dim=ambient,
-        mdec=mdec,
-        boundary=boundary,
-        budget=budget,
-        d_max=d_max,
-        monodromy=monodromy,
-        monodromy_dim=monodromy.dim,
-        hecke_margin=margin,
-        feasible=d_max >= 1,
-        notes=tuple(notes),
-    )
+    report = PlanReport(spec, mdec, boundary, derived_mt(spec), margin, tuple(notes))
+    if isinstance(spec, SymplecticFamily):
+        agree(f"symplectic budget for {spec}", d_max=report.d_max, min_varying_minus_one=min(spec.varying_dims) - 1)
+    return report
 
 
 def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
@@ -179,13 +179,7 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
     raise DimensionCalculusError("target must be a product of Sp atoms or a single SU-form atom")
 
 
-class KodairaReport(
-    namedtuple(
-        "KodairaReport",
-        "fiber_genus spec mdec boundary torelli_codim post_torelli_budget feasible monodromy notes",
-        defaults=((),),
-    )
-):
+class KodairaReport(namedtuple("KodairaReport", "plan torelli_codim notes", defaults=((),))):
     """Budget chain for a complete one-dimensional family of curves.
 
     The fiber-genus-h construction works inside the locus of products of a
@@ -195,6 +189,18 @@ class KodairaReport(
     """
 
     __slots__ = ()
+
+    @property
+    def fiber_genus(self) -> int:
+        return self.plan.total_g
+
+    @property
+    def post_torelli_budget(self) -> int:
+        return self.plan.budget - self.torelli_codim
+
+    @property
+    def feasible(self) -> bool:
+        return self.post_torelli_budget >= 2
 
 
 def kodaira_budget(fiber_genus: int) -> KodairaReport:
@@ -206,20 +212,8 @@ def kodaira_budget(fiber_genus: int) -> KodairaReport:
     if fiber_genus < 3:
         raise DimensionCalculusError(f"fiber genus must be >= 3, got {fiber_genus}")
     plan = plan_family(SymplecticFamily(fixed_dims=(1,), varying_dims=(fiber_genus - 1,)))
-    torelli = torelli_codim(fiber_genus)
-    budget = plan.budget - torelli
     notes = (
         "ramification of the period map over the hyperelliptic locus is "
         "resolved by a branched double cover of the base",
     )
-    return KodairaReport(
-        fiber_genus=fiber_genus,
-        spec=plan.spec,
-        mdec=plan.mdec,
-        boundary=plan.boundary,
-        torelli_codim=torelli,
-        post_torelli_budget=budget,
-        feasible=budget >= 2,
-        monodromy=plan.monodromy,
-        notes=notes,
-    )
+    return KodairaReport(plan, torelli_codim(fiber_genus), notes)

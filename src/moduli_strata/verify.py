@@ -132,11 +132,8 @@ def run_unitary_fixedpart_min(g_max: int) -> SuiteResult:
 
     No stratum depends on r yet, so each case repeats the L3.3 case at (p, q).
     """
-    cases = [
-        _min_case({"elliptic_count": r, "p": p, "q": q}, mdec_codim_unitary(p, q, strata_of_unitary(p, q)))
-        for r in range(0, 4)
-        for p, q in _unitary_box(g_max)
-    ]
+    minima = [(p, q, mdec_codim_unitary(p, q, strata_of_unitary(p, q))) for p, q in _unitary_box(g_max)]
+    cases = [_min_case({"elliptic_count": r, "p": p, "q": q}, result) for r in range(0, 4) for p, q, result in minima]
     return f"r in 0..3, 1 <= p, q <= {g_max}, p+q >= 3", cases, [NONCM_DISPLAY_NOTE]
 
 

@@ -193,16 +193,16 @@ def test_c07_unitary_planner_actual_behavior():
 def test_c08_kodaira_budgets():
     k3, k4 = kodaira_budget(3), kodaira_budget(4)
     higher = {g: kodaira_budget(g).feasible for g in range(5, 11)}
-    chain4 = (k4.mdec.codim, k4.torelli_codim, k4.post_torelli_budget, k4.boundary.codim)
+    chain4 = (k4.plan.mdec.codim, k4.torelli_codim, k4.post_torelli_budget, k4.plan.boundary.codim)
     ok = (
-        k3.feasible and k3.monodromy.label == "Sp(4)" and k3.post_torelli_budget == 2
-        and k4.feasible and k4.monodromy.label == "Sp(6)" and k4.post_torelli_budget == 2
+        k3.feasible and k3.plan.monodromy.label == "Sp(4)" and k3.post_torelli_budget == 2
+        and k4.feasible and k4.plan.monodromy.label == "Sp(6)" and k4.post_torelli_budget == 2
         and chain4 == (3, 1, 2, 3)
         and not any(higher.values())
     )
     report(8, "curve-family budgets: genus 3,4 feasible, 5..10 not", ok, f"genus-4 chain {chain4}")
-    assert k3.feasible and k3.monodromy.label == "Sp(4)" and k3.post_torelli_budget == 2
-    assert k4.feasible and k4.monodromy.label == "Sp(6)" and k4.post_torelli_budget == 2
+    assert k3.feasible and k3.plan.monodromy.label == "Sp(4)" and k3.post_torelli_budget == 2
+    assert k4.feasible and k4.plan.monodromy.label == "Sp(6)" and k4.post_torelli_budget == 2
     assert chain4 == (3, 1, 2, 3)
     assert not any(higher.values())
 

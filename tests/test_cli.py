@@ -1,10 +1,14 @@
 """Command-line behavior: determinism, schema, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -404,6 +408,27 @@ class TestOutputTargets:
         code, quiet, _ = invoke(capsys, argv + ["--out", str(target)])
         assert code == 0 and quiet == ""
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv", ["plan --fixed 1 --varying 3", "verify L3.2 --g-max 3 --json"])
+    def test_closed_stdout_is_one_usage_line(self, capsys, monkeypatch, argv):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = run(argv.split())
+        assert code == 1
+        assert capsys.readouterr().err == f"moduli-strata: error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_stdout_is_one_usage_line(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "moduli_strata.cli", "plan", "--fixed", "1", "--varying", "3"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        assert done.stderr == f"moduli-strata: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
     def test_witness_all_lists_maximizers(self, capsys):
         _, out, _ = invoke(capsys, ["gamma", "--g", "3", "--json", "--witness-all"])

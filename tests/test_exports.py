@@ -3,8 +3,9 @@
 The benchmark tracer (``perfbench/trace_worker.py``) looks up every entry
 of ``__all__``, so a stale entry breaks traced runs.  The report shapes
 live in ``cli`` alone, so no library module keeps one, an equality of
-routes is enforced by ``errors.agree`` alone, and every verification case
-is built by one of two builders in ``verify``.
+routes is enforced by ``errors.agree`` alone, every verification case
+is built by one of two builders in ``verify``, and no record stores a
+verdict or budget beside the values it is derived from.
 """
 
 import ast
@@ -51,6 +52,13 @@ def test_one_exception_per_exit_code():
     }
     assert defined == {errors.DimensionCalculusError, errors.Disagreement}
     assert errors.Disagreement.__bases__ == (errors.DimensionCalculusError,)
+
+
+def test_no_record_stores_a_derived_value():
+    derived = {"agrees", "feasible", "budget", "d_max", "post_torelli_budget"}
+    classes = {value for module in LIBRARY for value in vars(module).values() if isinstance(value, type)}
+    records = {c for c in classes if hasattr(c, "_fields")}
+    assert records and not [(r.__name__, f) for r in records for f in r._fields if f in derived]
 
 
 def test_no_library_record_shapes_its_report():

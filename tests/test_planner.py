@@ -168,21 +168,21 @@ class TestRealize:
 class TestKodaira:
     def test_genus3(self):
         k = kodaira_budget(3)
-        assert (k.torelli_codim, k.mdec.codim, k.boundary.codim) == (0, 2, 2)
+        assert (k.torelli_codim, k.plan.mdec.codim, k.plan.boundary.codim) == (0, 2, 2)
         assert k.post_torelli_budget == 2 and k.feasible
-        assert k.monodromy.label == "Sp(4)"
+        assert k.plan.monodromy.label == "Sp(4)"
 
     def test_genus4_chain(self):
         k = kodaira_budget(4)
-        assert k.mdec.codim == 3
+        assert k.plan.mdec.codim == 3
         assert k.torelli_codim == 1
-        assert k.boundary.codim == 3
+        assert k.plan.boundary.codim == 3
         assert k.post_torelli_budget == 2 and k.feasible
-        assert k.monodromy.label == "Sp(6)"
+        assert k.plan.monodromy.label == "Sp(6)"
 
     def test_genus5_infeasible(self):
         k = kodaira_budget(5)
-        assert (k.torelli_codim, k.mdec.codim, k.boundary.codim) == (3, 4, 4)
+        assert (k.torelli_codim, k.plan.mdec.codim, k.plan.boundary.codim) == (3, 4, 4)
         assert k.post_torelli_budget == 1 and not k.feasible
 
     @pytest.mark.parametrize("genus", range(5, 11))

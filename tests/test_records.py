@@ -5,7 +5,8 @@ does not load ``dataclasses``; these tests pin what a record type change
 could move without any output changing: validation messages, immutability,
 reprs quoted in disagreement messages, canonical orders and hashing.
 ``VerificationRun`` is a slotted class that ``run_check`` builds once, and
-a verdict such as ``MinCodim.agrees`` is derived from the values it judges.
+a verdict such as ``MinCodim.agrees`` is derived from the values it judges,
+as are the planner's budgets and feasibility.
 """
 
 import json
@@ -25,6 +26,8 @@ from moduli_strata import (
     DimensionCalculusError,
     GroupExpr,
     IntersectionMatrix,
+    KodairaReport,
+    PlanReport,
     SpAtom,
     Stratum,
     SUFormAtom,
@@ -205,3 +208,22 @@ def test_min_codim_derives_its_verdict(minimum):
     assert minimum.closed_form is not None and minimum.agrees is True
     assert minimum._replace(codim=minimum.codim + 1).agrees is False
     assert minimum._replace(closed_form=None, codim=minimum.codim + 1).agrees is True
+
+
+def test_planner_records_store_only_what_was_computed():
+    assert PlanReport._fields == ("spec", "mdec", "boundary", "monodromy", "hecke_margin", "notes")
+    assert KodairaReport._fields == ("plan", "torelli_codim", "notes")
+
+
+def test_plan_budget_follows_its_minima():
+    r = plan_family(DecompositionShape((1,), (3,)))
+    assert (r.budget, r.d_max, r.feasible) == (3, 2, True)
+    lowered = r._replace(boundary=BoundaryCodim(1, True))
+    assert (lowered.budget, lowered.d_max, lowered.feasible) == (1, 0, False)
+
+
+def test_kodaira_budget_follows_its_torelli_codim():
+    k = kodaira_budget(4)
+    assert (k.fiber_genus, k.post_torelli_budget, k.feasible) == (4, 2, True)
+    raised = k._replace(torelli_codim=4)
+    assert raised.post_torelli_budget == -1 and raised.feasible is False
