@@ -4,9 +4,10 @@ The package computes, with exact integer arithmetic: set-partition
 combinatorics on block-id tuples and canonical intersection-matrix types;
 dimensions and boundary codimensions of Siegel and unitary moduli; strata
 of the repeated-factor locus with their minimal codimension; the
-partition-indexed symplectic subgroup calculus with its exhaustively
-verified maximum; and a planner for complete families of indecomposable
-abelian varieties with prescribed connected monodromy group.
+partition-indexed symplectic subgroup calculus with its maximum (a
+completion search at every g, checked on every matrix type up to g = 8);
+and a planner for complete families of indecomposable abelian varieties
+with prescribed connected monodromy group.
 """
 
 __version__ = "0.1.0"

@@ -174,7 +174,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         blocks = itertools.chain(iter(lambda: "".join(itertools.islice(chunks, 8192)), ""), ("\n",))
     else:
         blocks = (_render_text(payload),)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, blocks)
         return
     try:
@@ -423,8 +423,8 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(list(argv))
         _reject_inapplicable(parser, args)
-        if args.out:
-            # an unwritable FILE fails before the work; appending nothing leaves a found FILE unchanged
+        if args.out is not None:
+            # an unwritable FILE, "--out ''" too, fails before the work; appending nothing leaves a found FILE unchanged
             existed = os.path.lexists(args.out)
             _write_out(args.out, (), "a")
             created = not existed

@@ -157,11 +157,11 @@ def two_block_witness_value(g: int) -> int:
 # placed, so it memoizes cleanly on the sorted capacity profile.
 
 
-def _columns(caps: tuple[int, ...]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def _columns(caps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """All ways to carve one column out of the capacity profile.
 
-    Yields (column_value, column_sum, remaining_profile); rows of equal
-    capacity are interchangeable, so each group takes a multiset of amounts.
+    Yields (column_value, remaining_profile); rows of equal capacity are
+    interchangeable, so each group takes a multiset of amounts.
     """
     groups = [(cap, len(list(grp))) for cap, grp in itertools.groupby(caps)]
     per_group = [
@@ -179,9 +179,8 @@ def _columns(caps: tuple[int, ...]) -> Iterator[tuple[int, int, tuple[int, ...]]
                     rest.append(cap - v)
         if not parts:
             continue
-        colsum = sum(parts)
-        value = sp_dim(colsum) - sum(sp_dim(v) for v in parts)
-        yield value, colsum, tuple(sorted(rest, reverse=True))
+        value = sp_dim(sum(parts)) - sum(sp_dim(v) for v in parts)
+        yield value, tuple(sorted(rest, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -189,15 +188,7 @@ def _best_fill(caps: tuple[int, ...]) -> int:
     """Best total column value consuming the whole capacity profile."""
     if not caps:
         return 0
-    return max(value + _best_fill(rest) for value, _s, rest in _columns(caps))
-
-
-def _best_against(block_sizes: Sequence[int]) -> int:
-    """max over proper mu of [dim(mu) - dim(meet)] for fixed first sizes."""
-    caps = tuple(sorted(block_sizes, reverse=True))
-    total = sum(caps)
-    # a single column would be the improper one-block mu
-    return max(value + _best_fill(rest) for value, colsum, rest in _columns(caps) if colsum != total)
+    return max(value + _best_fill(rest) for value, rest in _columns(caps))
 
 
 def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -235,7 +226,10 @@ def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
 def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
     """Cross-check of ``gamma_gamma_codim`` by the memoized completion search."""
     sizes = _proper_sizes(block_sizes)
-    return sp_dim(sum(sizes)) - gamma_dim(sizes) - _best_against(sizes)
+    # max over proper mu of dim(mu) - dim(lam ^ mu); a first column that
+    # leaves no capacity (its sum is g) is the improper one-block mu
+    best = max(value + _best_fill(rest) for value, rest in _columns(sizes) if rest)
+    return sp_dim(sum(sizes)) - gamma_dim(sizes) - best
 
 
 def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:

@@ -158,10 +158,6 @@ class IntersectionMatrix(namedtuple("IntersectionMatrix", "entries")):
         return super().__new__(cls, canonical_entries(tuple(tuple(r) for r in entries)))
 
     @property
-    def total(self) -> int:
-        return sum(sum(r) for r in self.entries)
-
-    @property
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(r) for r in self.entries)
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,15 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_child(argv: list[str], **options) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter that imports this checkout's package and writes no bytecode."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "moduli_strata.cli", *argv]
+    return subprocess.run(command, env=env, stderr=subprocess.PIPE, text=True, **options)
 
 
 class TestExitCodes:
@@ -422,11 +432,8 @@ class TestOutputTargets:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     def test_full_stdout_is_one_usage_line(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [sys.executable, "-m", "moduli_strata.cli", "plan", "--fixed", "1", "--varying", "3"]
         with open("/dev/full", "w") as full:
-            done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+            done = invoke_child("plan --fixed 1 --varying 3".split(), stdout=full)
         assert done.returncode == 1 and "Traceback" not in done.stderr
         assert done.stderr == f"moduli-strata: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
@@ -488,6 +495,26 @@ class TestOutputTargets:
         code, out, err = invoke(capsys, ["verify", "L3.2", "--g-max", "8", "--json", "--out", str(target)])
         assert code == 1 and out == "" and not target.exists()
         assert err == f"moduli-strata: error: argument --out: cannot write {target}: No such file or directory\n"
+
+    def test_empty_out_is_usage_error(self, capsys):
+        # an empty FILE is a path given, not an absent flag, so the report never reaches stdout
+        code, out, err = invoke(capsys, ["plan", "--varying", "2,2", "--json", "--out", ""])
+        assert code == 1 and out == ""
+        assert err == "moduli-strata: error: argument --out: cannot write : No such file or directory\n"
+
+    def test_write_failing_part_way_removes_a_created_out(self, tmp_path):
+        resource = pytest.importorskip("resource")
+
+        def small_files():  # in the child only: a write past 4096 bytes fails with EFBIG
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+        target = tmp_path / "created"  # the 58 kB report outgrows the limit part-way
+        argv = ["verify", "L3.2", "--g-max", "3", "--json", "--out", str(target)]
+        done = invoke_child(argv, stdout=subprocess.PIPE, preexec_fn=small_files)
+        assert done.returncode == 1 and done.stdout == "" and "Traceback" not in done.stderr
+        assert done.stderr == f"moduli-strata: error: argument --out: cannot write {target}: {os.strerror(errno.EFBIG)}\n"
+        assert not target.exists()
 
     @pytest.mark.parametrize("argv,exit_code", [("plan --varying 1", 1), ("strata --varying 2,3", 2)], ids=str)
     def test_failed_command_leaves_out_as_it_found_it(self, capsys, monkeypatch, tmp_path, argv, exit_code):

@@ -4,8 +4,9 @@ The benchmark tracer (``perfbench/trace_worker.py``) looks up every entry
 of ``__all__``, so a stale entry breaks traced runs.  The report shapes
 live in ``cli`` alone, so no library module keeps one, an equality of
 routes is enforced by ``errors.agree`` alone, every verification case
-is built by one of two builders in ``verify``, and no record stores a
-verdict or budget beside the values it is derived from.
+is built by one of two builders in ``verify``, no record stores a
+verdict or budget beside the values it is derived from, and the
+completion search has one entry and reads no closed form.
 """
 
 import ast
@@ -26,7 +27,7 @@ DELETED = ("Siegel", "UnitarySpace", "ModuliSpace", "boundary_codim", "sp_total_
            "mdec_codim_unitary_fixedpart", "spec_to_dict", "atom_to_dict",
            "GroundTooSmall", "GroundMismatch", "NotProper", "SpecInvalid", "InvalidShape", "RankTooSmall",
            "VaryingDimTooSmall", "TargetTooLarge", "UnitaryBoundViolated", "UnrealizableTarget", "GenusTooSmall",
-           "_check_two_paths")
+           "_check_two_paths", "_best_against")
 
 
 def test_no_duplicates():
@@ -104,3 +105,16 @@ def test_routes_are_compared_only_through_agree():
 
 def test_cases_are_built_only_by_the_two_builders():
     assert _call_sites("CaseRecord") == CASE_SITES
+
+
+#: The completion search: ``gamma_gamma_codim_by_search`` is its one entry,
+#: and ``_best_fill`` recurses on what ``_columns`` leaves.
+SEARCH = [("hecke_groups.py", "_best_fill"), ("hecke_groups.py", "gamma_gamma_codim_by_search")]
+
+
+def test_completion_search_has_one_entry_and_reads_no_closed_form():
+    assert _call_sites("_columns") == SEARCH
+    assert _call_sites("_best_fill") == SEARCH
+    # an independent route: no part of the search reads 4(g - largest block)
+    search = {"_columns", "_best_fill", "gamma_gamma_codim_by_search"}
+    assert not [site for site in _call_sites("gamma_gamma_codim") if site[1] in search]

@@ -134,11 +134,9 @@ class TestMaxProductDim:
     def test_completion_route_matches_exhaustive(self):
         # the scaling route that gives the maximizer its value agrees with
         # full matrix-type enumeration wherever types are exhausted
-        from moduli_strata.hecke_groups import _best_against
-
         for g in range(2, 9):
             dp = max(
-                gamma_dim(sizes) + _best_against(sizes)
+                sp_dim(g) - gamma_gamma_codim_by_search(sizes)
                 for sizes in integer_partitions(g)
                 if len(sizes) >= 2
             )
