@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .errors import DimensionCalculusError, Disagreement, agree
-from .hecke_groups import gamma_dim, gamma_gamma_codim, max_product_dim
+from .hecke_groups import gamma_dim, gamma_gamma_codim, gamma_gamma_codim_by_search, max_product_dim
 from .moduli import GroupExpr, SpAtom, SUFormAtom, sp_dim
 from .partitions import proper_classes
 from .planner import (
@@ -342,12 +342,13 @@ def _cmd_strata(args: argparse.Namespace) -> CommandReport:
 
 def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
     g = args.g
-    maximum = max_product_dim(g)
+    maximum = max_product_dim(g)  # it has searched every class, so each check below reads a memoized value
     classes = [
         {
             "block_sizes": list(sizes),
             "gamma_dim": gamma_dim(sizes),
-            "translate_codim": gamma_gamma_codim(sizes),
+            "translate_codim": agree(f"translate codimension of {sizes}", closed_form=gamma_gamma_codim(sizes),
+                                     search=gamma_gamma_codim_by_search(sizes)),
         }
         for sizes in proper_classes(g)
     ]

@@ -24,7 +24,9 @@ on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per block-size class,
 since relabelling both partitions leaves the product unchanged.
 
 The translate codimension has the closed form 4(g - largest block); the
-completion search serves ``max_product_dim`` and C5.6.
+completion search, which reads nothing of it, serves ``max_product_dim``,
+C5.6 and ``gamma``'s per-class check.  It takes each group of equal row
+capacities once and carves only columns holding part of the first row.
 """
 
 from __future__ import annotations
@@ -103,6 +105,8 @@ class MaxProductDim(namedtuple("MaxProductDim", "value witness closed_form")):
 
 #: Largest ground size for which every canonical matrix type is enumerated.
 EXHAUSTIVE_LIMIT = 8
+#: ``gamma_gamma_codim_by_search`` of each proper class, keyed on its sorted block sizes.
+_SEARCHED: dict[tuple[int, ...], int] = {}
 
 
 def max_product_dim(g: int) -> MaxProductDim:
@@ -157,30 +161,31 @@ def two_block_witness_value(g: int) -> int:
 # placed, so it memoizes cleanly on the sorted capacity profile.
 
 
-def _columns(caps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """All ways to carve one column out of the capacity profile.
+@lru_cache(maxsize=None)
+def _takes(cap: int, count: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(amount, sum of squares, capacities left) of each take from ``count`` rows of ``cap``; zero last."""
+    return tuple(
+        (sum(taken), sum(v * v for v in taken), tuple(cap - v for v in taken if v < cap))
+        for taken in itertools.combinations_with_replacement(range(cap, -1, -1), count)
+    )
 
-    Yields (column_value, remaining_profile); rows of equal capacity are
-    interchangeable, so each group takes a multiset of amounts.
+
+def _columns(caps: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The ways to carve one column holding part of the first row out of the profile.
+
+    Yields (column_value, remaining_profile).  Rows of equal capacity are
+    interchangeable, so a column is one take per group (``_takes``); its value
+    2(s^2 - sum v^2) is sp_dim(s) - sum sp_dim(v), as the amounts v sum to s.
+    Every complete fill has a column holding part of the first row, and
+    columns are unordered, so taking it first leaves ``_best_fill`` unchanged.
     """
-    groups = [(cap, len(list(grp))) for cap, grp in itertools.groupby(caps)]
-    per_group = [
-        list(itertools.combinations_with_replacement(range(cap, -1, -1), count))
-        for cap, count in groups
-    ]
-    for choice in itertools.product(*per_group):
-        parts: list[int] = []
-        rest: list[int] = []
-        for (cap, _count), taken in zip(groups, choice):
-            for v in taken:
-                if v:
-                    parts.append(v)
-                if cap - v:
-                    rest.append(cap - v)
-        if not parts:
-            continue
-        value = sp_dim(sum(parts)) - sum(sp_dim(v) for v in parts)
-        yield value, tuple(sorted(rest, reverse=True))
+    first, *others = [_takes(cap, len(list(grp))) for cap, grp in itertools.groupby(caps)]
+    tails = [(0, 0, ())]  # the other groups' takes, combined once per profile
+    for takes in others:
+        tails = [(s + v, q + w, left + more) for s, q, left in tails for v, w, more in takes]
+    for amount, squares, left in first[:-1]:
+        for s, q, more in tails:
+            yield 2 * ((amount + s) ** 2 - squares - q), tuple(sorted(left + more, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +229,14 @@ def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
 
 
 def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
-    """Cross-check of ``gamma_gamma_codim`` by the memoized completion search."""
+    """Cross-check of ``gamma_gamma_codim`` by the memoized completion search, run once per class."""
     sizes = _proper_sizes(block_sizes)
-    # max over proper mu of dim(mu) - dim(lam ^ mu); a first column that
-    # leaves no capacity (its sum is g) is the improper one-block mu
-    best = max(value + _best_fill(rest) for value, rest in _columns(sizes) if rest)
-    return sp_dim(sum(sizes)) - gamma_dim(sizes) - best
+    if sizes not in _SEARCHED:
+        # max over proper mu of dim(mu) - dim(lam ^ mu), carving first mu's column through
+        # the first row; one that leaves no capacity (its sum is g) is the one-block mu
+        best = max(value + _best_fill(rest) for value, rest in _columns(sizes) if rest)
+        _SEARCHED[sizes] = sp_dim(sum(sizes)) - gamma_dim(sizes) - best
+    return _SEARCHED[sizes]
 
 
 def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:

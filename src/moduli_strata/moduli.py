@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Union
 
-from .errors import DimensionCalculusError
+from .errors import DimensionCalculusError, agree
 
 
 def half_exact(n: int) -> int:
@@ -64,14 +64,16 @@ def siegel_boundary_codim(g: int) -> BoundaryCodim:
     Siegel space is a chain of lower Siegel spaces."""
     if g < 1:
         raise DimensionCalculusError("boundary codimension needs g >= 1")
-    return BoundaryCodim(g, exact=True)
+    return BoundaryCodim(agree(f"Siegel boundary codimension at g = {g}", closed_form=g,
+                               dimension_drop=siegel_dim(g) - siegel_dim(g - 1)), exact=True)
 
 
 def unitary_boundary_codim(p: int, q: int) -> BoundaryCodim:
     """At least p+q-1: the boundary strata of the minimal compactification
     are the spaces (p-r, q-r), and pq - (p-1)(q-1) = p+q-1."""
     SUFormAtom(p, q)  # the unitary rule p, q >= 1
-    return BoundaryCodim(p + q - 1, exact=False)
+    return BoundaryCodim(agree(f"unitary boundary codimension at ({p}, {q})", closed_form=p + q - 1,
+                               dimension_drop=unitary_dim(p, q) - unitary_dim(p - 1, q - 1)), exact=False)
 
 
 def torelli_codim(g: int) -> int:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_strata import cli, hecke_groups, planner, strata, verify
+from moduli_strata import cli, hecke_groups, moduli, planner, strata, verify
 from moduli_strata.cli import build_parser, run
 from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.moduli import BoundaryCodim, GroupExpr, SpAtom
@@ -126,6 +126,32 @@ class TestExitCodes:
         code, out, err = invoke(capsys, ["verify", "C5.6", "--g-max", "5", "--json"])
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["result"]["summary"]["disagreements"] == 1
+
+    def test_gamma_translate_codim_disagreement_exits_2(self, capsys, monkeypatch):
+        # the closed form one too high for one class; the search value it meets was memoized by max_product_dim
+        closed = cli.gamma_gamma_codim
+        monkeypatch.setattr(cli, "gamma_gamma_codim", lambda sizes: closed(sizes) + (sizes == (3, 2, 1)))
+        code, out, err = invoke(capsys, ["gamma", "--g", "6", "--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == "moduli-strata: disagreement: translate codimension of (3, 2, 1): closed_form 13, search 12\n"
+
+    @pytest.mark.parametrize(
+        "name,lower,argv,fragment",
+        [
+            ("siegel_dim", (2,), "plan --varying 3",
+             "Siegel boundary codimension at g = 3: closed_form 3, dimension_drop 2"),
+            ("unitary_dim", (1, 2), "plan --unitary 2,3",
+             "unitary boundary codimension at (2, 3): closed_form 4, dimension_drop 3"),
+        ],
+        ids=["siegel", "unitary"],
+    )
+    def test_boundary_codim_disagreement_exits_2(self, capsys, monkeypatch, name, lower, argv, fragment):
+        # one more dimension on the boundary's lower space leaves a drop one too small
+        real = getattr(moduli, name)
+        monkeypatch.setattr(moduli, name, lambda *args: real(*args) + (args == lower))
+        code, out, err = invoke(capsys, argv.split(" ") + ["--json"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == f"moduli-strata: disagreement: {fragment}\n"
 
     def test_two_path_disagreement_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(strata, "siegel_dim", lambda g: g * (g + 1) // 2 + 1)

@@ -1,5 +1,8 @@
 """Subgroup dimensions, product maxima, and translate margins."""
 
+import itertools
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,3 +234,56 @@ class TestTranslateMargin:
             gamma_gamma_codim((1,))
         with pytest.raises(ValueError):
             gamma_gamma_codim((2, 0))
+
+
+@lru_cache(maxsize=None)
+def _reference_fill(caps):
+    """Best total column value over every fill of the profile: each row gives each column any amount."""
+    return max((value + _reference_fill(rest) for _, value, rest in _reference_columns(caps)), default=0)
+
+
+def _reference_columns(caps):
+    """(amounts, value, sorted rest) of every nonempty column, one amount per row: no grouping, no first-row rule."""
+    for amounts in itertools.product(*(range(cap + 1) for cap in caps)):
+        if any(amounts):
+            rest = tuple(sorted((cap - v for cap, v in zip(caps, amounts) if cap > v), reverse=True))
+            yield amounts, sp_dim(sum(amounts)) - sum(map(sp_dim, amounts)), rest
+
+
+def _reference_search(sizes):
+    """Translate codimension by the reference fill; a first column that leaves nothing is the one-block mu."""
+    sizes = tuple(sorted(sizes, reverse=True))
+    best = max(value + _reference_fill(rest) for _, value, rest in _reference_columns(sizes) if rest)
+    return sp_dim(sum(sizes)) - gamma_dim(sizes) - best
+
+
+class TestCompletionSearchIsExhaustive:
+    # the search enumerates each group of equal rows once and only columns
+    # holding part of the first row; a per-row reference that does neither
+    # must give the same value everywhere
+
+    def test_best_fill_equals_per_row_reference(self):
+        profiles = [p for n in range(11) for p in integer_partitions(n)]
+        assert len(profiles) == 139
+        for caps in profiles:
+            assert hecke_groups._best_fill(caps) == _reference_fill(caps), caps
+
+    def test_columns_are_the_reference_columns_through_the_first_row(self):
+        # one take per group stands for every order of the same amounts within the group
+        for caps in (p for n in range(1, 11) for p in integer_partitions(n)):
+            first_row = {(value, rest) for amounts, value, rest in _reference_columns(caps) if amounts[0]}
+            assert set(hecke_groups._columns(caps)) == first_row, caps
+
+    def test_search_equals_reference_search_on_every_class(self):
+        classes = [s for g in range(2, 13) for s in proper_classes(g)]
+        assert len(classes) == 259
+        for sizes in classes:
+            assert gamma_gamma_codim_by_search(sizes) == _reference_search(sizes), sizes
+
+    def test_search_is_memoized_after_validation(self):
+        assert gamma_gamma_codim_by_search([1, 3]) == gamma_gamma_codim_by_search((3, 1)) == 4
+        assert hecke_groups._SEARCHED[(3, 1)] == 4
+        for bad, error in (((3,), DimensionCalculusError), ((2, 0), ValueError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    gamma_gamma_codim_by_search(bad)
