@@ -186,11 +186,11 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         raise UsageError(f"cannot write stdout: {exc.strerror}") from exc
 
 
-def _render_lines(value: dict | list, indent: int = 0) -> Iterator[str]:
+def _render_lines(value: dict | list | tuple, indent: int = 0) -> Iterator[str]:
     pad = "  " * indent
     pairs = ((f"{k}:", v) for k, v in value.items()) if isinstance(value, dict) else (("-", v) for v in value)
     for label, inner in pairs:
-        if isinstance(inner, (dict, list)):
+        if isinstance(inner, (dict, list, tuple)):
             yield f"{pad}{label}"
             yield from _render_lines(inner, indent + 1)
         else:
@@ -205,43 +205,24 @@ def _render_text(payload: dict) -> str:
     return "\n".join([head, *_render_lines(body)]) + "\n"
 
 
-# Each record's report shape lives here alone; text output keeps the key order.
+# Each record's report shape lives here alone.  Stratum, spec and atom
+# reports list the record's fields in field order, then the CLI's own keys.
 
 
 def _stratum_dict(stratum) -> dict:
-    return {
-        "kind": stratum.kind,
-        "params": list(stratum.params),
-        "ambient_dim": stratum.ambient_dim,
-        "stratum_dim": stratum.stratum_dim,
-        "codim": stratum.codim,
-    }
+    return {**stratum._asdict(), "codim": stratum.codim}
 
 
 def _spec_dict(spec) -> dict:
     # "level" and "field_label" stay in the report format as constants: no
     # number depends on the level structure or on the name of the field.
     if isinstance(spec, SymplecticFamily):
-        return {
-            "flavor": "symplectic",
-            "fixed_dims": list(spec.fixed_dims),
-            "varying_dims": list(spec.varying_dims),
-            "level": 3,
-        }
-    return {
-        "flavor": "unitary",
-        "elliptic_count": spec.elliptic_count,
-        "p": spec.p,
-        "q": spec.q,
-        "field_label": "L",
-        "level": 3,
-    }
+        return {"flavor": "symplectic", **spec._asdict(), "level": 3}
+    return {"flavor": "unitary", **spec._asdict(), "field_label": "L", "level": 3}
 
 
 def _atom_dict(atom) -> dict:
-    if isinstance(atom, SpAtom):
-        return {"kind": "sp", "rank": atom.rank, "dim": atom.dim}
-    return {"kind": "su_form", "p": atom.p, "q": atom.q, "dim": atom.dim}
+    return {"kind": "sp" if isinstance(atom, SpAtom) else "su_form", **atom._asdict(), "dim": atom.dim}
 
 
 def _plan_dict(report) -> dict:
@@ -292,7 +273,7 @@ def _case_dict(case) -> dict:
 
 
 #: What each handler returns: input echo, result, notes and exit code.
-CommandReport = tuple[dict, dict, list[str], int]
+CommandReport = tuple[dict, dict, Sequence[str], int]
 
 
 def _feasibility_code(args: argparse.Namespace, report) -> int:
@@ -305,7 +286,7 @@ def _cmd_plan(args: argparse.Namespace) -> CommandReport:
     else:
         spec = SymplecticFamily(args.fixed, args.varying)
     report = plan_family(spec)
-    return _spec_dict(spec), _plan_dict(report), list(report.notes), _feasibility_code(args, report)
+    return _spec_dict(spec), _plan_dict(report), report.notes, _feasibility_code(args, report)
 
 
 def _cmd_strata(args: argparse.Namespace) -> CommandReport:
@@ -325,7 +306,7 @@ def _cmd_strata(args: argparse.Namespace) -> CommandReport:
             enumerated=f"{strata[0].label} of codimension {strata[0].codim}",
         )
         # --fixed is echoed in the order given
-        inputs = {"flavor": "symplectic", "fixed_dims": list(args.fixed), "varying_dims": list(shape.varying_dims)}
+        inputs = {"flavor": "symplectic", "fixed_dims": args.fixed, "varying_dims": shape.varying_dims}
     result = {
         "ambient_dim": strata[0].ambient_dim,
         "count": len(strata),
@@ -337,7 +318,7 @@ def _cmd_strata(args: argparse.Namespace) -> CommandReport:
     }
     if args.witness_all:
         result["minimizers"] = [_stratum_dict(s) for s in strata if s.codim == minimum.codim]
-    return inputs, result, list(minimum.notes), EXIT_OK if minimum.agrees else EXIT_DISAGREEMENT
+    return inputs, result, minimum.notes, EXIT_OK if minimum.agrees else EXIT_DISAGREEMENT
 
 
 def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
@@ -345,7 +326,7 @@ def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
     maximum = max_product_dim(g)  # it has searched every class, so each check below reads a memoized value
     classes = [
         {
-            "block_sizes": list(sizes),
+            "block_sizes": sizes,
             "gamma_dim": gamma_dim(sizes),
             "translate_codim": agree(f"translate codimension of {sizes}", closed_form=gamma_gamma_codim(sizes),
                                      search=gamma_gamma_codim_by_search(sizes)),
@@ -357,14 +338,14 @@ def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
         "ambient_group_dim": sp_dim(g),
         "max_product_dim": maximum.value,
         "closed_form": maximum.closed_form,
-        "agrees": maximum.value == maximum.closed_form,
-        "witness": [list(r) for r in maximum.witness.entries],
+        "agrees": maximum.agrees,
+        "witness": maximum.witness.entries,
         "partition_classes": classes,
     }
     if args.witness_all:
         result["maximizers"] = [result["witness"]]
     notes = ["translate codimensions depend only on the block-size multiset"]
-    return {"g": g}, result, notes, EXIT_OK if result["agrees"] else EXIT_DISAGREEMENT
+    return {"g": g}, result, notes, EXIT_OK if maximum.agrees else EXIT_DISAGREEMENT
 
 
 def _cmd_verify(args: argparse.Namespace) -> CommandReport:
@@ -386,7 +367,7 @@ def _cmd_verify(args: argparse.Namespace) -> CommandReport:
 
 def _cmd_kodaira(args: argparse.Namespace) -> CommandReport:
     report = kodaira_budget(args.genus)
-    return {"genus": args.genus}, _kodaira_dict(report), list(report.notes), _feasibility_code(args, report)
+    return {"genus": args.genus}, _kodaira_dict(report), report.notes, _feasibility_code(args, report)
 
 
 def _cmd_realize(args: argparse.Namespace) -> CommandReport:
@@ -404,7 +385,7 @@ def _cmd_realize(args: argparse.Namespace) -> CommandReport:
         "d_max": report.d_max,
         "total_g": report.total_g,
     }
-    return inputs, result, list(report.notes), EXIT_OK if result["round_trip_ok"] else EXIT_DISAGREEMENT
+    return inputs, result, report.notes, EXIT_OK if result["round_trip_ok"] else EXIT_DISAGREEMENT
 
 
 _COMMANDS = {

@@ -102,6 +102,11 @@ class MaxProductDim(namedtuple("MaxProductDim", "value witness closed_form")):
 
     __slots__ = ()
 
+    @property
+    def agrees(self) -> bool:
+        """Whether the searched maximum matches the closed form."""
+        return self.value == self.closed_form
+
 
 #: Largest ground size for which every canonical matrix type is enumerated.
 EXHAUSTIVE_LIMIT = 8

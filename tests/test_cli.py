@@ -135,6 +135,21 @@ class TestExitCodes:
         assert code == 2 and out == "" and "Traceback" not in err
         assert err == "moduli-strata: disagreement: translate codimension of (3, 2, 1): closed_form 13, search 12\n"
 
+    def test_gamma_max_product_disagreement_exits_2(self, capsys, monkeypatch):
+        # a searched maximum one below the closed form is reported, not raised
+        real = cli.max_product_dim
+
+        def shifted(g):
+            maximum = real(g)
+            return maximum._replace(value=maximum.value - 1)
+
+        monkeypatch.setattr(cli, "max_product_dim", shifted)
+        code, out, err = invoke(capsys, ["gamma", "--g", "5", "--json"])
+        assert code == 2 and err == ""
+        result = json.loads(out)["result"]
+        assert result["agrees"] is False
+        assert (result["max_product_dim"], result["closed_form"]) == (50, 51)
+
     @pytest.mark.parametrize(
         "name,lower,argv,fragment",
         [
@@ -425,6 +440,35 @@ class TestJsonSchema:
             assert key in result
         assert result["monodromy"] == "Sp(6)"
         assert result["d_max"] == 2
+
+
+class TestReportShapes:
+    """Stratum, spec and atom reports list the record's fields in field order, then the CLI's own keys."""
+
+    def test_stratum_report_follows_the_record(self):
+        stratum = strata.strata_of_unitary(2, 3)[0]
+        assert list(cli._stratum_dict(stratum)) == [*strata.Stratum._fields, "codim"]
+
+    @pytest.mark.parametrize(
+        "spec,added",
+        [(planner.SymplecticFamily((1,), (3,)), ["level"]), (planner.UnitaryFamily(1, 2, 2), ["field_label", "level"])],
+        ids=["symplectic", "unitary"],
+    )
+    def test_spec_report_follows_the_record(self, spec, added):
+        assert list(cli._spec_dict(spec)) == ["flavor", *type(spec)._fields, *added]
+
+    @pytest.mark.parametrize("atom", [SpAtom(3), moduli.SUFormAtom(2, 3)], ids=["sp", "su_form"])
+    def test_atom_report_follows_the_record(self, atom):
+        assert list(cli._atom_dict(atom)) == ["kind", *type(atom)._fields, "dim"]
+
+    @pytest.mark.parametrize("notes", [(), ("a note",)], ids=["no_notes", "notes"])
+    def test_tuples_render_like_the_equal_lists(self, notes):
+        def payload(value, notes):
+            return {"tool": "t", "version": "0", "command": "c", "input": value, "result": value, "notes": notes}
+
+        as_tuples = {"sizes": (3, 1), "rows": ((2, 1), (1, 0)), "empty": (), "nested": [{"dims": (2,)}]}
+        as_lists = {"sizes": [3, 1], "rows": [[2, 1], [1, 0]], "empty": [], "nested": [{"dims": [2]}]}
+        assert cli._render_text(payload(as_tuples, notes)) == cli._render_text(payload(as_lists, list(notes)))
 
 
 class TestOutputTargets:

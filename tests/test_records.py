@@ -46,7 +46,7 @@ from moduli_strata import (
     strata_of_unitary,
     unitary_boundary_codim,
 )
-from moduli_strata.hecke_groups import two_block_witness_value
+from moduli_strata.hecke_groups import MaxProductDim, two_block_witness_value
 from moduli_strata.moduli import quarter_exact, siegel_dim, unitary_dim
 from moduli_strata.partitions import proper_classes
 from moduli_strata.verify import CHECKS, MIN_G_MAX
@@ -208,6 +208,13 @@ def test_min_codim_derives_its_verdict(minimum):
     assert minimum.closed_form is not None and minimum.agrees is True
     assert minimum._replace(codim=minimum.codim + 1).agrees is False
     assert minimum._replace(closed_form=None, codim=minimum.codim + 1).agrees is True
+
+
+def test_max_product_dim_derives_its_verdict():
+    maximum = max_product_dim(5)
+    assert "agrees" not in MaxProductDim._fields
+    assert maximum.agrees is True
+    assert maximum._replace(value=maximum.value - 1).agrees is False
 
 
 def test_planner_records_store_only_what_was_computed():
