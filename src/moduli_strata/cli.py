@@ -113,6 +113,7 @@ def build_parser() -> _Parser:
         p.add_argument("--witness-all", action="store_true", help="list every tied witness")
 
     p = sub.add_parser("plan", help="dimension budget and monodromy for a family spec")
+    p.set_defaults(handler=_cmd_plan)
     p.add_argument("--fixed", type=_dims, default=(), help="fixed factor dimensions a,b,... (symplectic)")
     flavor(p, "varying factor dimensions a,b,...", "unitary parameters p,q")
     p.add_argument("--elliptic", type=_at_most(MAX_DIM), help="fixed elliptic factor count (unitary)")
@@ -120,27 +121,32 @@ def build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("strata", help="enumerate repeated-factor strata")
+    p.set_defaults(handler=_cmd_strata)
     p.add_argument("--fixed", type=_dims, default=(), help="fixed factor dimensions a,b,... (symplectic)")
     flavor(p, "varying factor dimensions a,b,...", "unitary parameters p,q")
     common(p)
     witness_all(p)
 
     p = sub.add_parser("gamma", help="subgroup dimension calculus on a ground set")
+    p.set_defaults(handler=_cmd_gamma)
     p.add_argument("--g", type=_at_most(MAX_GAMMA_G), required=True, help="ground set size")
     common(p)
     witness_all(p)
 
     p = sub.add_parser("verify", help="run a named verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("lemma_id", choices=sorted(CHECKS), help="suite to run")
     p.add_argument("--g-max", type=_at_most(MAX_G_MAX), default=None, help="override the parameter box")
     common(p)
 
     p = sub.add_parser("kodaira", help="complete-curve-family budget at a fiber genus")
+    p.set_defaults(handler=_cmd_kodaira)
     p.add_argument("--genus", type=_at_most(MAX_DIM), required=True)
     p.add_argument("--require-feasible", action="store_true")
     common(p)
 
     p = sub.add_parser("realize", help="family spec realizing a target monodromy group")
+    p.set_defaults(handler=_cmd_realize)
     flavor(p, "symplectic target ranks a,b,...", "unitary target parameters p,q")
     p.add_argument("--g", type=_at_most(MAX_DIM), required=True, help="total dimension g'")
     common(p)
@@ -372,9 +378,9 @@ def _cmd_kodaira(args: argparse.Namespace) -> CommandReport:
 
 def _cmd_realize(args: argparse.Namespace) -> CommandReport:
     if args.unitary is not None:
-        flavor, target = "unitary", GroupExpr.of([SUFormAtom(*args.unitary)])
+        flavor, target = "unitary", GroupExpr([SUFormAtom(*args.unitary)])
     else:
-        flavor, target = "symplectic", GroupExpr.of(SpAtom(r) for r in args.varying)
+        flavor, target = "symplectic", GroupExpr(SpAtom(r) for r in args.varying)
     inputs = {"target": target.label, "flavor": flavor, "g_prime": args.g}
     spec = realize_group(target, args.g)
     report = plan_family(spec)
@@ -386,16 +392,6 @@ def _cmd_realize(args: argparse.Namespace) -> CommandReport:
         "total_g": report.total_g,
     }
     return inputs, result, report.notes, EXIT_OK if result["round_trip_ok"] else EXIT_DISAGREEMENT
-
-
-_COMMANDS = {
-    "plan": _cmd_plan,
-    "strata": _cmd_strata,
-    "gamma": _cmd_gamma,
-    "verify": _cmd_verify,
-    "kodaira": _cmd_kodaira,
-    "realize": _cmd_realize,
-}
 
 
 def run(argv: Sequence[str]) -> int:
@@ -410,7 +406,7 @@ def run(argv: Sequence[str]) -> int:
             existed = os.path.lexists(args.out)
             _write_out(args.out, (), "a")
             created = not existed
-        inputs, result, notes, code = _COMMANDS[args.command](args)
+        inputs, result, notes, code = args.handler(args)
         payload = {
             "tool": TOOL_NAME,
             "version": __version__,

@@ -140,14 +140,11 @@ class GroupExpr(namedtuple("GroupExpr", "atoms")):
 
     __slots__ = ()
 
-    def __new__(cls, atoms: tuple[GroupAtom, ...]) -> GroupExpr:
+    def __new__(cls, atoms: Iterable[GroupAtom]) -> GroupExpr:
+        atoms = tuple(sorted(atoms, key=_atom_key))
         if not atoms:
             raise ValueError("a group expression needs at least one atom")
-        return super().__new__(cls, tuple(sorted(atoms, key=_atom_key)))
-
-    @classmethod
-    def of(cls, atoms: Iterable[GroupAtom]) -> "GroupExpr":
-        return cls(tuple(atoms))
+        return super().__new__(cls, atoms)
 
     @property
     def label(self) -> str:

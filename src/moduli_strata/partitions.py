@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionCalculusError
 
@@ -142,7 +142,8 @@ class IntersectionMatrix(namedtuple("IntersectionMatrix", "entries")):
 
     __slots__ = ()
 
-    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> IntersectionMatrix:
+    def __new__(cls, entries: Iterable[Iterable[int]]) -> IntersectionMatrix:
+        entries = tuple(map(tuple, entries))
         if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
         width = len(entries[0])
@@ -155,7 +156,7 @@ class IntersectionMatrix(namedtuple("IntersectionMatrix", "entries")):
             raise ValueError("zero row")
         if any(all(row[j] == 0 for row in entries) for j in range(width)):
             raise ValueError("zero column")
-        return super().__new__(cls, canonical_entries(tuple(tuple(r) for r in entries)))
+        return super().__new__(cls, canonical_entries(entries))
 
     @property
     def row_sums(self) -> tuple[int, ...]:

@@ -68,8 +68,8 @@ def derived_mt(spec: FamilySpec) -> GroupExpr:
     """Monodromy bound: the derived group of the generic Hodge-theoretic
     symmetry group.  Fixed factors are monodromy-invariant and drop out."""
     if isinstance(spec, SymplecticFamily):
-        return GroupExpr.of(SpAtom(d) for d in spec.varying_dims)
-    return GroupExpr.of([SUFormAtom(spec.p, spec.q)])
+        return GroupExpr(SpAtom(d) for d in spec.varying_dims)
+    return GroupExpr([SUFormAtom(spec.p, spec.q)])
 
 
 class PlanReport(namedtuple("PlanReport", "spec mdec boundary monodromy hecke_margin notes", defaults=((),))):

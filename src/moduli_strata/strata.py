@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import DimensionCalculusError, Disagreement, agree
 from .moduli import SUFormAtom, half_exact, quarter_exact, siegel_dim, unitary_dim
@@ -69,7 +70,8 @@ class DecompositionShape(namedtuple("DecompositionShape", "fixed_dims varying_di
 
     __slots__ = ()
 
-    def __new__(cls, fixed_dims: tuple[int, ...], varying_dims: tuple[int, ...]) -> DecompositionShape:
+    def __new__(cls, fixed_dims: Iterable[int], varying_dims: Iterable[int]) -> DecompositionShape:
+        fixed_dims, varying_dims = tuple(fixed_dims), tuple(varying_dims)
         if not varying_dims:
             raise DimensionCalculusError("at least one varying factor is required")
         if any(d < 2 for d in varying_dims):

@@ -142,21 +142,19 @@ def run_gamma_increment(g_max: int) -> SuiteResult:
 
     For every partition of every ground size up to g_max and every
     insertion position (including a new singleton block), the subgroup
-    dimension grows by 4l + 3.  A ground's case counts its insertions
-    (expected) and those that grow by 4l + 3 (computed).
+    dimension grows by 4l + 3.  A ground's case expects Bell(g + 1)
+    insertions, one per partition of {1..g+1}, and counts the exact ones.
     """
     cases = []
     for g in range(2, g_max + 1):
-        insertions = 0
         exact = 0
         for part in iter_all_partitions(g):
             sizes = block_sizes(part)
             base = gamma_dim(sizes)
             # element g + 1 joins block idx; idx = len(sizes) opens a singleton
             for idx, l in enumerate(sizes + (0,)):
-                insertions += 1
                 exact += gamma_dim(block_sizes(part + (idx,))) - base == 4 * l + 3
-        cases.append(_routes_case({"ground": g}, {"insertions": insertions, "exact_increments": exact}))
+        cases.append(_routes_case({"ground": g}, {"insertions": bell_number(g + 1), "exact_increments": exact}))
     return f"all partitions on grounds 2..{g_max}, all insertions", cases, []
 
 

@@ -211,7 +211,7 @@ def test_c09_realization_round_trip():
     count = 0
     for n_atoms in (1, 2, 3):
         for ranks in itertools.combinations_with_replacement(range(2, 6), n_atoms):
-            target = GroupExpr.of(SpAtom(r) for r in ranks)
+            target = GroupExpr(SpAtom(r) for r in ranks)
             for g_prime in range(sum(ranks), 16):
                 outcome = plan_family(realize_group(target, g_prime))
                 assert outcome.monodromy == target, (ranks, g_prime)

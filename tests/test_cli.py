@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, schema, exit codes."""
 
+import argparse
 import contextlib
 import errno
 import io
@@ -217,7 +218,7 @@ class TestExitCodes:
         assert err.startswith("moduli-strata: disagreement: ") and err.count("\n") == 1
 
     def test_failed_realize_round_trip_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(planner, "derived_mt", lambda spec: GroupExpr.of([SpAtom(1)]))
+        monkeypatch.setattr(planner, "derived_mt", lambda spec: GroupExpr([SpAtom(1)]))
         code, out, err = invoke(capsys, ["realize", "--varying", "2,3", "--g", "6", "--json"])
         assert code == 2 and err == ""
         result = json.loads(out)["result"]
@@ -305,6 +306,13 @@ class TestExitCodes:
         assert result["summary"] == {"cases": 2, "disagreements": 2}
         assert all(not c["agree"] and c["computed"] < c["expected"] for c in result["cases"])
 
+    def test_gamma_increment_expects_every_partition_of_the_next_ground(self, capsys, monkeypatch):
+        # a sweep that skips the one-block partition at g = 4 misses its two insertions, which Bell(5) still counts
+        every = verify.iter_all_partitions
+        monkeypatch.setattr(verify, "iter_all_partitions", lambda g: (p for p in every(g) if g != 4 or max(p) > 0))
+        bad = _failed_cases(capsys, "C5.3-increment --g-max 5")
+        assert [(c["input"]["ground"], c["expected"], c["computed"]) for c in bad] == [(4, 52, 50)]
+
     def test_verify_disagreement_path(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "L3.3", "--json"])
         assert code == 2
@@ -337,6 +345,15 @@ def _failed_cases(capsys, request: str) -> list[dict]:
 def _failed_max_product_cases(capsys) -> list[int]:
     """The g of each disagreeing case of ``verify L5.5 --g-max 5``, which must exit 2."""
     return [c["input"]["g"] for c in _failed_cases(capsys, "L5.5 --g-max 5")]
+
+
+def test_each_subcommand_names_its_handler():
+    # the handler is bound where its subcommand is declared; no second table maps names to handlers
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name: p.get_default("handler") for name, p in commands.items()} == {
+        name: getattr(cli, f"_cmd_{name}") for name in ("plan", "strata", "gamma", "verify", "kodaira", "realize")
+    }
+    assert not hasattr(cli, "_COMMANDS")
 
 
 def test_strata_unitary_enumerates_once(capsys, monkeypatch):

@@ -5,8 +5,9 @@ of ``__all__``, so a stale entry breaks traced runs.  The report shapes
 live in ``cli`` alone, so no library module keeps one, an equality of
 routes is enforced by ``errors.agree`` alone, every verification case
 is built by one of two builders in ``verify``, no record stores a
-verdict or budget beside the values it is derived from, and the
-completion search has one entry and reads no closed form.
+verdict or budget beside the values it is derived from, no record has a
+second constructor, and the completion search has one entry and reads no
+closed form.
 """
 
 import ast
@@ -60,6 +61,13 @@ def test_no_record_stores_a_derived_value():
     classes = {value for module in LIBRARY for value in vars(module).values() if isinstance(value, type)}
     records = {c for c in classes if hasattr(c, "_fields")}
     assert records and not [(r.__name__, f) for r in records for f in r._fields if f in derived]
+
+
+def test_no_record_has_a_second_constructor():
+    # ``__new__`` turns the input into the stored tuple; a classmethod beside it would convert a second time
+    classes = {value for module in LIBRARY for value in vars(module).values() if isinstance(value, type)}
+    records = {c for c in classes if hasattr(c, "_fields")} | {verify.VerificationRun}
+    assert records and not [(r.__name__, n) for r in records for n, v in vars(r).items() if isinstance(v, classmethod)]
 
 
 def test_no_library_record_shapes_its_report():

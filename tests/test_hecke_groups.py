@@ -51,7 +51,7 @@ class TestGammaDim:
 
     def test_subgroup_structure(self):
         sizes = block_sizes(blocks([1, 2], [3], [4]))
-        group = GroupExpr.of(SpAtom(l) for l in sizes)
+        group = GroupExpr(SpAtom(l) for l in sizes)
         assert group.label == "Sp(2) x Sp(2) x Sp(4)"
         assert group.dim == 3 + 3 + 10 == gamma_dim(sizes)
 

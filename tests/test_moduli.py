@@ -80,14 +80,14 @@ class TestGroupExpr:
         assert SUFormAtom(2, 2).dim == 15
 
     def test_product_dim(self):
-        expr = GroupExpr.of([SpAtom(2), SpAtom(3)])
+        expr = GroupExpr([SpAtom(2), SpAtom(3)])
         assert expr.dim == 31
         assert expr.label == "Sp(4) x Sp(6)"
-        assert GroupExpr.of([SUFormAtom(2, 2)]).dim == 15
+        assert GroupExpr([SUFormAtom(2, 2)]).dim == 15
 
     def test_canonical_order(self):
-        assert GroupExpr.of([SpAtom(3), SpAtom(2)]) == GroupExpr.of([SpAtom(2), SpAtom(3)])
-        assert GroupExpr.of([SpAtom(3), SpAtom(2)]).label == "Sp(4) x Sp(6)"
+        assert GroupExpr([SpAtom(3), SpAtom(2)]) == GroupExpr([SpAtom(2), SpAtom(3)])
+        assert GroupExpr([SpAtom(3), SpAtom(2)]).label == "Sp(4) x Sp(6)"
 
     def test_atoms_reject_small_parameters(self):
         with pytest.raises(DimensionCalculusError, match="Sp atom rank must be >= 1, got 0"):

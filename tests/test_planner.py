@@ -130,26 +130,26 @@ class TestDerivedMT:
 
 class TestRealize:
     def test_examples(self):
-        assert realize_group(GroupExpr.of([SpAtom(2)]), 3) == SymplecticFamily((1,), (2,))
-        assert realize_group(GroupExpr.of([SpAtom(2), SpAtom(3)]), 5) == SymplecticFamily((), (2, 3))
-        assert realize_group(GroupExpr.of([SUFormAtom(2, 2)]), 6) == UnitaryFamily(2, 2, 2)
+        assert realize_group(GroupExpr([SpAtom(2)]), 3) == SymplecticFamily((1,), (2,))
+        assert realize_group(GroupExpr([SpAtom(2), SpAtom(3)]), 5) == SymplecticFamily((), (2, 3))
+        assert realize_group(GroupExpr([SUFormAtom(2, 2)]), 6) == UnitaryFamily(2, 2, 2)
 
     def test_errors(self):
         with pytest.raises(DimensionCalculusError, match=r"varying dimensions must be >= 2, got \(1,\)"):
-            realize_group(GroupExpr.of([SpAtom(1)]), 5)
+            realize_group(GroupExpr([SpAtom(1)]), 5)
         with pytest.raises(DimensionCalculusError, match="target needs total dimension >= 6, got g' = 5"):
-            realize_group(GroupExpr.of([SpAtom(3), SpAtom(3)]), 5)
+            realize_group(GroupExpr([SpAtom(3), SpAtom(3)]), 5)
         with pytest.raises(DimensionCalculusError, match=r"need g' >= p\+q\+1 = 5, got 4"):
-            realize_group(GroupExpr.of([SUFormAtom(2, 2)]), 4)
+            realize_group(GroupExpr([SUFormAtom(2, 2)]), 4)
         with pytest.raises(DimensionCalculusError, match=r"p\+q=3 < 4"):
-            realize_group(GroupExpr.of([SUFormAtom(1, 2)]), 9)  # UnitaryFamily's p+q >= 4
+            realize_group(GroupExpr([SUFormAtom(1, 2)]), 9)  # UnitaryFamily's p+q >= 4
         with pytest.raises(DimensionCalculusError, match="target must be a product of Sp atoms or a single SU-form"):
-            realize_group(GroupExpr.of([SpAtom(2), SUFormAtom(2, 2)]), 9)
+            realize_group(GroupExpr([SpAtom(2), SUFormAtom(2, 2)]), 9)
 
     def test_round_trip_box(self):
         for n_atoms in (1, 2, 3):
             for ranks in itertools.combinations_with_replacement(range(2, 6), n_atoms):
-                target = GroupExpr.of(SpAtom(r) for r in ranks)
+                target = GroupExpr(SpAtom(r) for r in ranks)
                 for g_prime in range(sum(ranks), 16):
                     spec = realize_group(target, g_prime)
                     report = plan_family(spec)
@@ -160,9 +160,9 @@ class TestRealize:
     def test_unitary_round_trip(self):
         for p, q in [(2, 2), (2, 3), (3, 3), (4, 2)]:
             for g_prime in range(p + q + 1, 12):
-                spec = realize_group(GroupExpr.of([SUFormAtom(p, q)]), g_prime)
+                spec = realize_group(GroupExpr([SUFormAtom(p, q)]), g_prime)
                 assert spec.elliptic_count == g_prime - (p + q)
-                assert plan_family(spec).monodromy == GroupExpr.of([SUFormAtom(p, q)])
+                assert plan_family(spec).monodromy == GroupExpr([SUFormAtom(p, q)])
 
 
 class TestKodaira:

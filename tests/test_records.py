@@ -31,6 +31,7 @@ from moduli_strata import (
     SpAtom,
     Stratum,
     SUFormAtom,
+    SymplecticFamily,
     UnitaryFamily,
     VerificationRun,
     bell_number,
@@ -75,6 +76,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         (lambda: DecompositionShape((), ()), DimensionCalculusError, "at least one varying factor is required"),
         (lambda: DecompositionShape((1,), (3, 1)), DimensionCalculusError, "varying dimensions must be >= 2, got (3, 1)"),
         (lambda: DecompositionShape((0, 2), (2,)), DimensionCalculusError, "fixed dimensions must be >= 1, got (0, 2)"),
+        # an iterator is checked as the tuple it becomes, in the order given
+        (lambda: SymplecticFamily((), iter(())), DimensionCalculusError, "at least one varying factor is required"),
+        (lambda: SymplecticFamily((), iter([3, 1])), DimensionCalculusError, "varying dimensions must be >= 2, got (3, 1)"),
         (
             lambda: Stratum("b_diag", (1, 1), 3, 4),
             ValueError,
@@ -87,6 +91,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         (lambda: IntersectionMatrix(((1, 1), (0, 0))), ValueError, "zero row"),
         (lambda: IntersectionMatrix(((1, 0), (1, 0))), ValueError, "zero column"),
         (lambda: GroupExpr(()), ValueError, "a group expression needs at least one atom"),
+        (lambda: GroupExpr(iter(())), ValueError, "a group expression needs at least one atom"),
         (lambda: siegel_dim(-1), ValueError, "dimension must be >= 0, got -1"),
         (lambda: unitary_dim(-1, 0), ValueError, "parameters must be >= 0, got (-1, 0)"),
         (lambda: bell_number(-1), ValueError, "n must be >= 0"),
@@ -172,7 +177,7 @@ def test_reprs_keep_the_field_format_quoted_in_disagreements():
 
 
 def test_group_expr_orders_mixed_atoms_canonically():
-    expr = GroupExpr.of([SUFormAtom(2, 1), SpAtom(3), SUFormAtom(1, 2), SpAtom(1)])
+    expr = GroupExpr([SUFormAtom(2, 1), SpAtom(3), SUFormAtom(1, 2), SpAtom(1)])
     assert expr.atoms == (SpAtom(1), SpAtom(3), SUFormAtom(1, 2), SUFormAtom(2, 1))
     assert [type(a) for a in expr.atoms] == [SpAtom, SpAtom, SUFormAtom, SUFormAtom]
     assert expr == GroupExpr((SpAtom(3), SUFormAtom(2, 1), SpAtom(1), SUFormAtom(1, 2)))
@@ -184,6 +189,19 @@ def test_row_permuted_matrices_are_one_key():
     b = IntersectionMatrix(((0, 1, 1), (2, 0, 1)))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize(
+    "from_iterator, from_tuples",
+    [
+        (lambda: SymplecticFamily((d for d in [1]), (d for d in [3, 4])), lambda: SymplecticFamily((1,), (3, 4))),
+        (lambda: IntersectionMatrix(r for r in [[1, 0], [0, 1]]), lambda: IntersectionMatrix(((1, 0), (0, 1)))),
+    ],
+    ids=["SymplecticFamily", "IntersectionMatrix"],
+)
+def test_an_iterator_input_equals_the_tuple_input(from_iterator, from_tuples):
+    # each constructor stores the tuple its input becomes, so a one-pass iterator is read once
+    assert from_iterator() == from_tuples()
 
 
 def test_run_check_returns_a_run_whose_cases_are_a_list():
