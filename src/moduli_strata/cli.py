@@ -205,9 +205,7 @@ def _render_lines(value: dict | list | tuple, indent: int = 0) -> Iterator[str]:
 
 def _render_text(payload: dict) -> str:
     head = f"{payload['tool']} {payload['version']} :: {payload['command']}"
-    body = {"input": payload["input"], "result": payload["result"]}
-    if payload["notes"]:
-        body["notes"] = payload["notes"]
+    body = {key: payload[key] for key in ("input", "result", "notes", "timing") if payload.get(key)}
     return "\n".join([head, *_render_lines(body)]) + "\n"
 
 
@@ -355,12 +353,9 @@ def _cmd_gamma(args: argparse.Namespace) -> CommandReport:
 
 
 def _cmd_verify(args: argparse.Namespace) -> CommandReport:
-    start = time.perf_counter()
     run = run_check(args.lemma_id, args.g_max)
     disagreements = run.disagreements
     summary = {"cases": len(run.cases), "disagreements": len(disagreements)}
-    if args.timing:
-        summary["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
     result = {"lemma_id": run.lemma_id, "parameter_range": run.parameter_range, "summary": summary}
     # JSON lists every case; the human digest lists every disagreement, verbatim
     if args.json:
@@ -406,6 +401,7 @@ def run(argv: Sequence[str]) -> int:
             existed = os.path.lexists(args.out)
             _write_out(args.out, (), "a")
             created = not existed
+        start = time.perf_counter()
         inputs, result, notes, code = args.handler(args)
         payload = {
             "tool": TOOL_NAME,
@@ -415,6 +411,8 @@ def run(argv: Sequence[str]) -> int:
             "result": result,
             "notes": notes,
         }
+        if args.timing:  # the handler's time; rendering is not counted
+            payload["timing"] = {"elapsed_ms": int((time.perf_counter() - start) * 1000)}
         _emit(payload, args)
         return code
     except Disagreement as exc:

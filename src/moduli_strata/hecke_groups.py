@@ -45,7 +45,9 @@ from .partitions import (
     block_sizes,
     enumerate_matrix_types,
     enumerate_proper_partitions,
+    meet,
     proper_classes,
+    renumber,
 )
 
 
@@ -85,10 +87,10 @@ def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tu
 
 
 def product_dim(lam: Partition, mu: Partition) -> int:
-    """Dimension of the product of the two partition subgroups."""
-    if len(lam) != len(mu):
-        raise DimensionCalculusError(f"ground sizes differ: {len(lam)} vs {len(mu)}")
-    return _sweep([lam], [mu])[0]
+    """Dimension of the product of the two partition subgroups; any labels name the blocks, as in ``meet``."""
+    if not meet(lam, mu):  # meet checks that the ground sizes agree
+        raise DimensionCalculusError("need g >= 1, got 0")
+    return _sweep([renumber(lam)], [renumber(mu)])[0]
 
 
 def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:

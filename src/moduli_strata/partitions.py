@@ -73,12 +73,17 @@ def block_sizes(partition: Partition) -> tuple[int, ...]:
     return tuple(map(partition.count, range(max(partition) + 1)))
 
 
+def renumber(labels: Iterable) -> Partition:
+    """Block-id tuple of any labels: equal labels share a block, numbered by first appearance."""
+    ids: dict = {}
+    return tuple(ids.setdefault(label, len(ids)) for label in labels)
+
+
 def meet(lam: Partition, mu: Partition) -> Partition:
     """Common refinement: blocks are the nonempty pairwise intersections."""
     if len(lam) != len(mu):
         raise DimensionCalculusError(f"ground sizes differ: {len(lam)} vs {len(mu)}")
-    cells: dict[tuple[int, int], int] = {}
-    return tuple(cells.setdefault(cell, len(cells)) for cell in zip(lam, mu))
+    return renumber(zip(lam, mu))
 
 
 @lru_cache(maxsize=None)

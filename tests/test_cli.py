@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, schema, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import errno
 import io
@@ -30,6 +31,11 @@ GOLDEN = (
     "strata --varying 2,3 --json", "strata --unitary 3,1 --json", "gamma --g 4 --json",
     "verify L5.5 --g-max 5 --json", "verify L3.3 --g-max 4 --json",
     "kodaira --genus 5 --require-feasible --json", "no-such-command",
+)
+#: One cheap call per subcommand, each timed by ``run`` alone.
+TIMED = (
+    ["plan", "--varying", "2,3"], ["strata", "--varying", "2,3"], ["gamma", "--g", "4"],
+    ["verify", "L3.1", "--g-max", "3"], ["kodaira", "--genus", "4"], ["realize", "--varying", "2,3", "--g", "7"],
 )
 #: calls that reach the fixed-part minimum
 MEMOIZED_ROUTE = (
@@ -390,22 +396,64 @@ class TestDeterminism:
         second = invoke(capsys, argv)
         assert first == second
 
-    def test_no_timing_fields_without_flag(self, capsys):
-        _, out, _ = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--json"])
-        assert "elapsed" not in out
+    @pytest.mark.parametrize("argv", TIMED, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
+    def test_no_timing_fields_without_flag(self, capsys, argv, form):
+        _, out, _ = invoke(capsys, argv + form)
+        assert "elapsed" not in out and "timing" not in out
 
     def test_timing_flag_adds_elapsed(self, capsys):
+        # the time is the envelope's, not the verify summary's
         _, out, _ = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--json", "--timing"])
         payload = json.loads(out)
-        assert "elapsed_ms" in payload["result"]["summary"]
+        assert list(payload["timing"]) == ["elapsed_ms"]
+        assert list(payload["result"]["summary"]) == ["cases", "disagreements"]
 
     def test_timing_flag_in_text_summary(self, capsys):
         _, out, _ = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--timing"])
         lines = out.splitlines()
         at = lines.index("  summary:")
-        assert [line.split(":")[0] for line in lines[at + 1:at + 5]] == [
-            "    cases", "    disagreements", "    elapsed_ms", "  disagreements",
+        assert [line.split(":")[0] for line in lines[at + 1:at + 4]] == [
+            "    cases", "    disagreements", "  disagreements",
         ]
+        assert lines[-2] == "timing:" and lines[-1].startswith("  elapsed_ms: ")
+
+
+def _check_timing(timing) -> None:
+    assert list(timing) == ["elapsed_ms"]
+    assert type(timing["elapsed_ms"]) is int and timing["elapsed_ms"] >= 0
+
+
+class TestTiming:
+    """``--timing`` adds one ``timing`` block to the envelope on every subcommand, and nothing else."""
+
+    @pytest.mark.parametrize("argv", TIMED, ids=lambda argv: argv[0])
+    def test_json_gains_only_the_timing_block(self, capsys, argv):
+        code, plain, _ = invoke(capsys, argv + ["--json"])
+        timed_code, out, err = invoke(capsys, argv + ["--json", "--timing"])
+        timed = json.loads(out)
+        _check_timing(timed.pop("timing"))
+        assert (timed_code, err) == (code, "") and timed == json.loads(plain)
+
+    @pytest.mark.parametrize("argv", TIMED, ids=lambda argv: argv[0])
+    def test_text_report_ends_with_the_timing_block(self, capsys, argv):
+        code, plain, _ = invoke(capsys, argv)
+        timed_code, out, _ = invoke(capsys, argv + ["--timing"])
+        elapsed = int(out.rsplit("  elapsed_ms: ", 1)[-1])
+        assert timed_code == code and out == f"{plain}timing:\n  elapsed_ms: {elapsed}\n" and elapsed >= 0
+
+    @pytest.mark.parametrize("argv", TIMED, ids=lambda argv: argv[0])
+    def test_out_file_holds_the_timing_block(self, capsys, argv, tmp_path):
+        target = tmp_path / "report.json"
+        _, quiet, _ = invoke(capsys, argv + ["--json", "--timing", "--out", str(target)])
+        assert quiet == ""
+        _check_timing(json.loads(target.read_text())["timing"])
+
+    def test_no_handler_reads_the_flag(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        readers = {top.name for top in tree.body for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute) and node.attr == "timing"}
+        assert readers == {"run"}
 
 
 class TestJsonSchema:

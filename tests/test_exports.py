@@ -4,10 +4,10 @@ The benchmark tracer (``perfbench/trace_worker.py``) looks up every entry
 of ``__all__``, so a stale entry breaks traced runs.  The report shapes
 live in ``cli`` alone, so no library module keeps one, an equality of
 routes is enforced by ``errors.agree`` alone, every verification case
-is built by one of two builders in ``verify``, no record stores a
-verdict or budget beside the values it is derived from, no record has a
-second constructor, and the completion search has one entry and reads no
-closed form.
+is built by one of two builders in ``verify``, only ``cli.run`` reads
+the clock, no record stores a verdict or budget beside the values it is
+derived from, no record has a second constructor, and the completion
+search has one entry and reads no closed form.
 """
 
 import ast
@@ -91,6 +91,11 @@ DISAGREEMENT_SITES = [
 ]
 
 
+#: Where the clock is read: ``run`` starts and stops the one timer of every
+#: subcommand's handler for ``--timing``.
+TIMER_SITES = [("cli.py", "run")] * 2
+
+
 #: Where ``CaseRecord`` is built: the two builders that derive each verdict.
 CASE_SITES = [("verify.py", "_min_case"), ("verify.py", "_routes_case")]
 
@@ -109,6 +114,10 @@ def _call_sites(callee: str) -> list[tuple[str, str | None]]:
 
 def test_routes_are_compared_only_through_agree():
     assert _call_sites("Disagreement") == DISAGREEMENT_SITES
+
+
+def test_one_timer_serves_every_subcommand():
+    assert _call_sites("perf_counter") == TIMER_SITES
 
 
 def test_cases_are_built_only_by_the_two_builders():

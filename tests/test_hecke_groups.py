@@ -76,6 +76,15 @@ class TestProductDim:
         with pytest.raises(DimensionCalculusError, match="ground sizes differ: 2 vs 3"):
             product_dim(blocks([1], [2]), blocks([1], [2], [3]))
 
+    def test_any_labels_name_the_blocks(self):
+        # renumbered by first appearance, as meet renumbers its cells
+        assert product_dim((0, 2), (0, 1)) == product_dim((0, 1), (0, 1)) == 6
+        assert product_dim(("a", "b", "a"), (7, 7, 5)) == product_dim(blocks([1, 3], [2]), blocks([1, 2], [3]))
+
+    def test_empty_ground(self):
+        with pytest.raises(DimensionCalculusError, match="^need g >= 1, got 0$"):
+            product_dim((), ())
+
     @given(partition_pairs())
     @settings(max_examples=100, derandomize=True)
     def test_symmetry(self, pair):

@@ -18,6 +18,7 @@ from moduli_strata.partitions import (
     integer_partitions,
     iter_all_partitions,
     meet,
+    renumber,
     _tables,
 )
 from partition_helpers import (
@@ -48,6 +49,10 @@ class TestSetPartition:
         # blocks are numbered by least element, whatever the input labels
         assert blocks([3], [2, 1]) == (0, 0, 1)
         assert meet((2, 2, 0), (5, 5, 5)) == (0, 0, 1)
+        assert meet((0, 2), (0, 1)) == (0, 1)
+        assert renumber("abcab") == (0, 1, 2, 0, 1)
+        assert renumber(iter([(5, 5), (0, 1), (5, 5)])) == (0, 1, 0)
+        assert renumber(()) == ()
 
     def test_validation(self):
         # every enumerated tuple is a restricted growth string
