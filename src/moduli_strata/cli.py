@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
 from . import __version__
@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", metavar="FILE", help="write the report to FILE instead of stdout")
-        p.add_argument("--timing", action="store_true", help="include elapsed milliseconds")
+        p.add_argument("--timing", action="store_true", help="include elapsed microseconds")
 
     def flavor(p: argparse.ArgumentParser, varying_help: str, unitary_help: str) -> None:
         group = p.add_mutually_exclusive_group(required=True)
@@ -170,14 +170,52 @@ def _write_out(path: str, blocks: Iterable[str], mode: str = "w") -> None:
         raise UsageError(f"argument --out: cannot write {path}: {exc.strerror}") from exc
 
 
+#: How ``json.dumps`` writes each scalar a report holds.
+_SCALARS = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _json_text(value, nl: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value indented at ``nl``; each container joins once."""
+    kind, inner = type(value), nl + "  "
+    # a scalar item is written in place, without a call of its own
+    if kind is dict and value:
+        items = [f"{_quote(k)}: {_SCALARS[type(v)](v) if type(v) in _SCALARS else _json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if (kind is list or kind is tuple) and value:
+        items = [_SCALARS[type(v)](v) if type(v) in _SCALARS else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict or kind is list or kind is tuple:
+        return "{}" if kind is dict else "[]"
+    if kind not in _SCALARS:  # a float, a named tuple or a set never reaches a report
+        raise TypeError(f"a report holds no {kind.__name__}: {value!r}")
+    return _SCALARS[kind](value)
+
+
+def _json_chunks(value, nl: str = "\n") -> Iterator[str]:
+    """The pieces of ``_json_text(value, nl)``: dicts are walked, and each item of a list in a dict is one piece."""
+    if type(value) is not dict or not value:
+        yield _json_text(value, nl)
+        return
+    inner = nl + "  "
+    for i, (key, item) in enumerate(sorted(value.items())):
+        yield f"{',' if i else '{'}{inner}{_quote(key)}: "
+        if type(item) is list and item:
+            yield from (f"{',' if j else '['}{inner}  {_json_text(v, inner + '  ')}" for j, v in enumerate(item))
+            yield inner + "]"
+        else:
+            yield from _json_chunks(item, inner)
+    yield nl + "}"
+
+
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    # JSON goes out in blocks of encoder chunks: ``json.dumps`` joins these
-    # same chunks, so the bytes match while a multi-megabyte report is never
-    # held whole.  Blocks, not single chunks, keep an unbuffered stdout
-    # (``python -u``) from making one system call per chunk.
+    # JSON goes out in blocks of 256 ``_json_chunks`` pieces (a verify case
+    # is one piece), so peak memory stays that of the computed report, while
+    # an unbuffered stdout (``python -u``) makes one system call per block.
     if args.json:
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-        blocks = itertools.chain(iter(lambda: "".join(itertools.islice(chunks, 8192)), ""), ("\n",))
+        chunks = _json_chunks(payload)
+        blocks = itertools.chain(iter(lambda: "".join(itertools.islice(chunks, 256)), ""), ("\n",))
     else:
         blocks = (_render_text(payload),)
     if args.out is not None:
@@ -412,7 +450,7 @@ def run(argv: Sequence[str]) -> int:
             "notes": notes,
         }
         if args.timing:  # the handler's time; rendering is not counted
-            payload["timing"] = {"elapsed_ms": int((time.perf_counter() - start) * 1000)}
+            payload["timing"] = {"elapsed_us": int((time.perf_counter() - start) * 1_000_000)}
         _emit(payload, args)
         return code
     except Disagreement as exc:

@@ -88,8 +88,7 @@ def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tu
 
 def product_dim(lam: Partition, mu: Partition) -> int:
     """Dimension of the product of the two partition subgroups; any labels name the blocks, as in ``meet``."""
-    if not meet(lam, mu):  # meet checks that the ground sizes agree
-        raise DimensionCalculusError("need g >= 1, got 0")
+    meet(lam, mu)  # for its checks: the ground sizes agree and g >= 1
     return _sweep([renumber(lam)], [renumber(mu)])[0]
 
 

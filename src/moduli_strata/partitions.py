@@ -83,6 +83,8 @@ def meet(lam: Partition, mu: Partition) -> Partition:
     """Common refinement: blocks are the nonempty pairwise intersections."""
     if len(lam) != len(mu):
         raise DimensionCalculusError(f"ground sizes differ: {len(lam)} vs {len(mu)}")
+    if not lam:
+        raise DimensionCalculusError("need g >= 1, got 0")
     return renumber(zip(lam, mu))
 
 

@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -406,7 +407,7 @@ class TestDeterminism:
         # the time is the envelope's, not the verify summary's
         _, out, _ = invoke(capsys, ["verify", "L3.1", "--g-max", "3", "--json", "--timing"])
         payload = json.loads(out)
-        assert list(payload["timing"]) == ["elapsed_ms"]
+        assert list(payload["timing"]) == ["elapsed_us"]
         assert list(payload["result"]["summary"]) == ["cases", "disagreements"]
 
     def test_timing_flag_in_text_summary(self, capsys):
@@ -416,12 +417,12 @@ class TestDeterminism:
         assert [line.split(":")[0] for line in lines[at + 1:at + 4]] == [
             "    cases", "    disagreements", "  disagreements",
         ]
-        assert lines[-2] == "timing:" and lines[-1].startswith("  elapsed_ms: ")
+        assert lines[-2] == "timing:" and lines[-1].startswith("  elapsed_us: ")
 
 
 def _check_timing(timing) -> None:
-    assert list(timing) == ["elapsed_ms"]
-    assert type(timing["elapsed_ms"]) is int and timing["elapsed_ms"] >= 0
+    assert list(timing) == ["elapsed_us"]
+    assert type(timing["elapsed_us"]) is int and timing["elapsed_us"] >= 0
 
 
 class TestTiming:
@@ -439,8 +440,8 @@ class TestTiming:
     def test_text_report_ends_with_the_timing_block(self, capsys, argv):
         code, plain, _ = invoke(capsys, argv)
         timed_code, out, _ = invoke(capsys, argv + ["--timing"])
-        elapsed = int(out.rsplit("  elapsed_ms: ", 1)[-1])
-        assert timed_code == code and out == f"{plain}timing:\n  elapsed_ms: {elapsed}\n" and elapsed >= 0
+        elapsed = int(out.rsplit("  elapsed_us: ", 1)[-1])
+        assert timed_code == code and out == f"{plain}timing:\n  elapsed_us: {elapsed}\n" and elapsed >= 0
 
     @pytest.mark.parametrize("argv", TIMED, ids=lambda argv: argv[0])
     def test_out_file_holds_the_timing_block(self, capsys, argv, tmp_path):
@@ -534,6 +535,42 @@ class TestReportShapes:
         as_tuples = {"sizes": (3, 1), "rows": ((2, 1), (1, 0)), "empty": (), "nested": [{"dims": (2,)}]}
         as_lists = {"sizes": [3, 1], "rows": [[2, 1], [1, 0]], "empty": [], "nested": [{"dims": [2]}]}
         assert cli._render_text(payload(as_tuples, notes)) == cli._render_text(payload(as_lists, list(notes)))
+
+
+#: The six value types a report holds, with the strings and ints ``json.dumps`` escapes or widens.
+_REPORT_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([-(2**200), 2**200, 10**50 + 1])
+    | st.text() | st.sampled_from(['"', "\\", "\n", "\x01", "\x7f", "é", "\u2028", "\U0001f600", 'a"b\\c\nd'])
+)
+_REPORT_VALUES = st.recursive(
+    _REPORT_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+_Point = namedtuple("Point", "x y")
+
+
+class TestJsonWriter:
+    """The report writer gives the bytes of ``json.dumps(indent=2, sort_keys=True)`` on the six report types."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_REPORT_VALUES)
+    def test_matches_the_stdlib_encoder(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True)
+        assert "".join(cli._json_chunks(value)) == cli._json_text(value, "\n") == expected
+
+    @pytest.mark.parametrize("value", [{}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], ((),)], {"cases": []}],
+                             ids=repr)
+    def test_empty_containers(self, value):
+        assert "".join(cli._json_chunks(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("bad", [1.5, 0.0, _Point(1, 2), {1, 2}, set()], ids=repr)
+    @pytest.mark.parametrize("where", [lambda v: v, lambda v: {"result": {"cases": [{"input": v}]}}, lambda v: [(v,)]],
+                             ids=["top", "in_dict", "in_list"])
+    def test_other_types_raise(self, bad, where):
+        with pytest.raises(TypeError, match="a report holds no "):
+            "".join(cli._json_chunks(where(bad)))
 
 
 class TestOutputTargets:

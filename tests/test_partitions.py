@@ -106,6 +106,11 @@ class TestMeet:
         with pytest.raises(DimensionCalculusError, match="ground sizes differ: 2 vs 3"):
             meet(blocks([1], [2]), blocks([1], [2], [3]))
 
+    def test_empty_ground(self):
+        # the rule and the words of iter_all_partitions and product_dim
+        with pytest.raises(DimensionCalculusError, match="^need g >= 1, got 0$"):
+            meet((), ())
+
     @given(partition_pairs())
     @settings(max_examples=80, derandomize=True)
     def test_idempotent_commutative(self, data):
