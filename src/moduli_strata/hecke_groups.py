@@ -19,9 +19,9 @@ nonzero entries contribute with the l(2l+1) weight.
 over column structures at every ground size, and its witness is always the
 two-block matrix ((g-2, 1), (1, 0)), the only maximizer type (see
 ``gamma_gamma_codim``); up to 8 every canonical intersection-matrix type is
-also enumerated as a cross-check of both.  The pair sweep checks the value
-on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per block-size class,
-since relabelling both partitions leaves the product unchanged.
+also enumerated; both cross-checks go through ``agree``.  The pair sweep
+checks the value on (p(g) - 1)(Bell(g) - 1) pairs, one first partition per
+block-size class, since relabelling both partitions leaves it unchanged.
 
 The translate codimension has the closed form 4(g - largest block); the
 completion search, which reads nothing of it, serves ``max_product_dim``,
@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionCalculusError, Disagreement, agree
+from .errors import DimensionCalculusError, agree
 from .moduli import sp_dim
 from .partitions import (
     IntersectionMatrix,
@@ -56,8 +56,8 @@ def gamma_dim(sizes: Iterable[int]) -> int:
     return sum(map(sp_dim, sizes))
 
 
-def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tuple[Partition, Partition]]:
-    """Largest product dimension over lams x mus, with the first pair attaining it.
+def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> int:
+    """Largest product dimension over lams x mus.
 
     Each partition's own dimension is computed once, not once per pair.
     dim(lam ^ mu) is summed over lam's blocks: the cells inside one block
@@ -66,7 +66,7 @@ def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tu
     """
     weighted = [(mu, gamma_dim(block_sizes(mu))) for mu in mus]
     block_weight: dict[int | tuple[int, ...], int] = {}
-    best, best_pair = -1, ((), ())
+    best = -1
     for lam in lams:
         dim_a = gamma_dim(block_sizes(lam))
         readers = [itemgetter(*[i for i, b in enumerate(lam) if b == k]) for k in range(max(lam) + 1)]
@@ -82,14 +82,14 @@ def _sweep(lams: Iterable[Partition], mus: Iterable[Partition]) -> tuple[int, tu
                 meet_dim += weight
             value = dim_a + dim_b - meet_dim
             if value > best:
-                best, best_pair = value, (lam, mu)
-    return best, best_pair
+                best = value
+    return best
 
 
 def product_dim(lam: Partition, mu: Partition) -> int:
     """Dimension of the product of the two partition subgroups; any labels name the blocks, as in ``meet``."""
     meet(lam, mu)  # for its checks: the ground sizes agree and g >= 1
-    return _sweep([renumber(lam)], [renumber(mu)])[0]
+    return _sweep([renumber(lam)], [renumber(mu)])
 
 
 def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
@@ -126,20 +126,19 @@ def max_product_dim(g: int) -> MaxProductDim:
     leaf: the two-block matrix ((g-2, 1), (1, 0)) is the only maximizer
     type, and the witness at every g.  It must attain the search value; up
     to EXHAUSTIVE_LIMIT it must also be the only canonical matrix type at
-    or above it.  Either failure raises ``Disagreement``.
+    or above it.  Both checks go through ``agree``.
     """
     value = sp_dim(g) - min(map(gamma_gamma_codim_by_search, proper_classes(g)))
     witness = IntersectionMatrix(((g - 2, 1), (1, 0)))
     agree(f"two-block witness at g = {g}", search_optimum=value, witness_attains=product_dim_from_matrix(witness))
-    types = enumerate_matrix_types(g) if g <= EXHAUSTIVE_LIMIT else []
-    reached = [m for m in types if product_dim_from_matrix(m) >= value]
-    if types and reached != [witness]:
-        found = "; ".join(f"{m.entries} attains {product_dim_from_matrix(m)}" for m in reached)
-        raise Disagreement(f"matrix types at g = {g}", search_optimum=value, types_at_or_above=found)
+    if g <= EXHAUSTIVE_LIMIT:
+        values = {m.entries: product_dim_from_matrix(m) for m in enumerate_matrix_types(g)}
+        reached = {entries: v for entries, v in values.items() if v >= value}
+        agree(f"matrix types at g = {g}", search_optimum={witness.entries: value}, types_at_or_above=reached)
     return MaxProductDim(value, witness, sp_dim(g) - 4)
 
 
-def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:
+def max_product_dim_by_pairs(g: int) -> int:
     """Independent maximizer: direct sweep over proper partition pairs.
 
     ``product_dim`` is unchanged when both partitions are relabelled by
@@ -149,13 +148,6 @@ def max_product_dim_by_pairs(g: int) -> tuple[int, tuple[Partition, Partition]]:
     """
     lams = [_consecutive_blocks(sizes) for sizes in proper_classes(g)]
     return _sweep(lams, enumerate_proper_partitions(g))
-
-
-def two_block_witness_value(g: int) -> int:
-    """Product dimension of the pair {1..g-1 | g} versus {1 | 2..g}."""
-    if g < 2:
-        raise DimensionCalculusError(f"need g >= 2, got {g}")
-    return _sweep([(0,) * (g - 1) + (1,)], [(0,) + (1,) * (g - 1)])[0]
 
 
 # --- best completion against fixed block sizes -------------------------------
@@ -249,4 +241,4 @@ def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:
     """Brute-force cross-check of ``gamma_gamma_codim`` over all proper mu."""
     sizes = _proper_sizes(block_sizes)
     g = sum(sizes)
-    return sp_dim(g) - _sweep([_consecutive_blocks(sizes)], enumerate_proper_partitions(g))[0]
+    return sp_dim(g) - _sweep([_consecutive_blocks(sizes)], enumerate_proper_partitions(g))

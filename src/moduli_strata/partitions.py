@@ -173,9 +173,6 @@ class IntersectionMatrix(namedtuple("IntersectionMatrix", "entries")):
     def col_sums(self) -> tuple[int, ...]:
         return tuple(sum(c) for c in zip(*self.entries))
 
-    def sort_key(self) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-        return (len(self.entries), len(self.entries[0]), self.entries)
-
 
 def integer_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of n into non-increasing positive parts."""
@@ -258,7 +255,5 @@ def enumerate_matrix_types(g: int) -> list[IntersectionMatrix]:
         for col_sums in margins:
             for table in _tables(row_sums, col_sums):
                 seen.add(canonical_entries(table))
-    matrices = [IntersectionMatrix(e) for e in seen]
-    matrices.sort(key=IntersectionMatrix.sort_key)
-    return matrices
+    return [IntersectionMatrix(e) for e in sorted(seen, key=lambda e: (len(e), len(e[0]), e))]
 

@@ -282,6 +282,8 @@ def mdec_codim_unitary(p: int, q: int, strata: tuple[Stratum, ...]) -> MinCodim:
     and (3, 3) the unitary_noncm stratum with k = p = q lies strictly deeper
     than the closed form and the disagreement is reported in the result.
     """
+    if not strata:
+        raise DimensionCalculusError(f"at least one stratum is required for the unitary minimum at ({p}, {q})")
     witness = min(strata, key=Stratum.sort_key)
     closed = unitary_closed_form(p, q)
     notes: list[str] = []

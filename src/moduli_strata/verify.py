@@ -21,7 +21,7 @@ from .hecke_groups import (
     gamma_gamma_codim_by_search,
     max_product_dim,
     max_product_dim_by_pairs,
-    two_block_witness_value,
+    product_dim,
 )
 from .partitions import (
     bell_number,
@@ -167,10 +167,10 @@ def run_max_product(g_max: int) -> SuiteResult:
 
     The maximizer takes the completion-search value at every g; up to
     g = 8 the two-block witness must be the only canonical matrix type
-    attaining it.  Up to PAIR_SWEEP_LIMIT the value is also
-    recomputed by the direct pair sweep, whose note counts the
-    (Bell(g) - 1)^2 pairs it covers by relabelling invariance, and the
-    two-block witness family is checked to attain the maximum.
+    attaining it.  Up to PAIR_SWEEP_LIMIT the value is also recomputed by
+    the direct pair sweep, whose note counts the (Bell(g) - 1)^2 pairs it
+    covers by relabelling invariance.  At every g ``product_dim`` of
+    {1..g-1 | g} versus {1 | 2..g} must attain the maximum.
     """
     cases = []
     for g in range(2, g_max + 1):
@@ -178,9 +178,9 @@ def run_max_product(g_max: int) -> SuiteResult:
         routes = {"closed_form": result.closed_form, "maximizer": result.value}
         notes = []
         if g <= PAIR_SWEEP_LIMIT:
-            routes["pair_sweep"] = max_product_dim_by_pairs(g)[0]
+            routes["pair_sweep"] = max_product_dim_by_pairs(g)
             notes.append(f"pair sweep over {(bell_number(g) - 1) ** 2} pairs gives {routes['pair_sweep']}")
-        routes["two_block"] = two_block_witness_value(g)
+        routes["two_block"] = product_dim((0,) * (g - 1) + (1,), (0,) + (1,) * (g - 1))
         notes.append(f"two-block family attains {routes['two_block']}")
         witness = [list(r) for r in result.witness.entries]
         cases.append(_routes_case({"g": g}, routes, witness, "; ".join(notes)))

@@ -281,17 +281,13 @@ class TestExitCodes:
 
     def test_pair_sweep_route_disagreement(self, capsys, monkeypatch):
         sweep = verify.max_product_dim_by_pairs
-
-        def one_too_high_at_4(g):
-            value, witness = sweep(g)
-            return value + (g == 4), witness
-
-        monkeypatch.setattr(verify, "max_product_dim_by_pairs", one_too_high_at_4)
+        monkeypatch.setattr(verify, "max_product_dim_by_pairs", lambda g: sweep(g) + (g == 4))
         assert _failed_max_product_cases(capsys) == [4]
 
     def test_two_block_route_disagreement(self, capsys, monkeypatch):
-        attained = verify.two_block_witness_value
-        monkeypatch.setattr(verify, "two_block_witness_value", lambda g: attained(g) + (g == 3))
+        # the two-block route is the only reader of ``product_dim`` in L5.5; its pair has ground size g
+        attained = verify.product_dim
+        monkeypatch.setattr(verify, "product_dim", lambda lam, mu: attained(lam, mu) + (len(lam) == 3))
         assert _failed_max_product_cases(capsys) == [3]
 
     def test_two_block_witness_certificate(self, capsys, monkeypatch):

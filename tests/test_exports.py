@@ -3,11 +3,13 @@
 The benchmark tracer (``perfbench/trace_worker.py``) looks up every entry
 of ``__all__``, so a stale entry breaks traced runs.  The report shapes
 live in ``cli`` alone, so no library module keeps one, an equality of
-routes is enforced by ``errors.agree`` alone, every verification case
+routes is enforced by ``errors.agree`` alone, so ``Disagreement`` is
+built only there and in the fixed-part bound, every verification case
 is built by one of two builders in ``verify``, only ``cli.run`` reads
 the clock, no record stores a verdict or budget beside the values it is
-derived from, no record has a second constructor, and the completion
-search has one entry and reads no closed form.
+derived from, no record has a second constructor, the completion search
+has one entry and reads no closed form, and no library module imports a
+name it never reads.
 """
 
 import ast
@@ -28,7 +30,7 @@ DELETED = ("Siegel", "UnitarySpace", "ModuliSpace", "boundary_codim", "sp_total_
            "mdec_codim_unitary_fixedpart", "spec_to_dict", "atom_to_dict",
            "GroundTooSmall", "GroundMismatch", "NotProper", "SpecInvalid", "InvalidShape", "RankTooSmall",
            "VaryingDimTooSmall", "TargetTooLarge", "UnitaryBoundViolated", "UnrealizableTarget", "GenusTooSmall",
-           "_check_two_paths", "_best_against")
+           "_check_two_paths", "_best_against", "two_block_witness_value")
 
 
 def test_no_duplicates():
@@ -84,11 +86,9 @@ def test_agree_returns_the_common_value_or_names_every_route():
         errors.agree("what", a=1, b=1, c=2)
 
 
-#: Where ``Disagreement`` is built: ``agree``, and the two checks that are no
-#: equality of routes, the fixed-part bound and matrix-type uniqueness.
-DISAGREEMENT_SITES = [
-    ("errors.py", "agree"), ("hecke_groups.py", "max_product_dim"), ("strata.py", "mdec_codim_fixedpart"),
-]
+#: Where ``Disagreement`` is built: ``agree``, and the one check that is no
+#: equality of routes, the fixed-part bound in ``mdec_codim_fixedpart``.
+DISAGREEMENT_SITES = [("errors.py", "agree"), ("strata.py", "mdec_codim_fixedpart")]
 
 
 #: Where the clock is read: ``run`` starts and stops the one timer of every
@@ -135,3 +135,23 @@ def test_completion_search_has_one_entry_and_reads_no_closed_form():
     # an independent route: no part of the search reads 4(g - largest block)
     search = {"_columns", "_best_fill", "gamma_gamma_codim_by_search"}
     assert not [site for site in _call_sites("gamma_gamma_codim") if site[1] in search]
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names ``path`` imports, ``from __future__`` aside, that it never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # ``__init__`` imports only to re-export; every other module must read what it imports
+    modules = [p for p in sorted(Path(moduli_strata.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    unread = {p.name: _unread_imports(p) for p in modules}
+    assert unread and not any(unread.values()), unread

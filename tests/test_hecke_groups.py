@@ -19,7 +19,6 @@ from moduli_strata.hecke_groups import (
     max_product_dim_by_pairs,
     product_dim,
     product_dim_from_matrix,
-    two_block_witness_value,
 )
 from moduli_strata.moduli import GroupExpr, SpAtom, sp_dim
 from moduli_strata.partitions import (
@@ -127,21 +126,24 @@ class TestMaxProductDim:
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_matrix_route_equals_pair_route(self, g):
-        assert max_product_dim(g).value == max_product_dim_by_pairs(g)[0]
+        assert max_product_dim(g).value == max_product_dim_by_pairs(g)
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_pair_sweep_equals_per_class_pair_sweeps(self, g):
+        # the two pair routes meet class by class: the best lam class leaves the least codimension
+        codims = [gamma_gamma_codim_by_pairs(sizes) for sizes in proper_classes(g)]
+        assert max_product_dim_by_pairs(g) == sp_dim(g) - min(codims)
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_reduced_pair_sweep_equals_all_pairs(self, g):
         # one lam per block-size class must lose nothing against the full sweep
         parts = enumerate_proper_partitions(g)
         unreduced = max(product_dim(a, b) for a in parts for b in parts)
-        value, (lam, mu) = max_product_dim_by_pairs(g)
-        assert value == unreduced
-        assert any(lam) and any(mu)
-        assert product_dim(lam, mu) == value
+        assert max_product_dim_by_pairs(g) == unreduced
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_two_block_family_attains_maximum(self, g):
-        assert two_block_witness_value(g) == sp_dim(g) - 4
+        assert product_dim((0,) * (g - 1) + (1,), (0,) + (1,) * (g - 1)) == sp_dim(g) - 4
 
     def test_completion_route_matches_exhaustive(self):
         # the scaling route that gives the maximizer its value agrees with
@@ -177,8 +179,11 @@ class TestMaxProductDim:
         code = run(["gamma", "--g", "4", "--json"])
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "Traceback" not in err
-        assert err.startswith("moduli-strata: disagreement: matrix types at g = 4: ") and err.count("\n") == 1
-        assert f"search_optimum {sp_dim(4) - 4}," in err and f"{rival.entries} attains {rival_value}" in err
+        witness = IntersectionMatrix(((2, 1), (1, 0)))
+        assert err == (
+            f"moduli-strata: disagreement: matrix types at g = 4: search_optimum {{{witness.entries}: {sp_dim(4) - 4}}}, "
+            f"types_at_or_above {{{rival.entries}: {rival_value}, {witness.entries}: {sp_dim(4) - 4}}}\n"
+        )
 
     def test_ground_too_small(self):
         with pytest.raises(DimensionCalculusError, match="need g >= 2, got 1"):

@@ -47,7 +47,7 @@ from moduli_strata import (
     strata_of_unitary,
     unitary_boundary_codim,
 )
-from moduli_strata.hecke_groups import MaxProductDim, two_block_witness_value
+from moduli_strata.hecke_groups import MaxProductDim
 from moduli_strata.moduli import quarter_exact, siegel_dim, unitary_dim
 from moduli_strata.partitions import proper_classes
 from moduli_strata.verify import CHECKS, MIN_G_MAX
@@ -97,7 +97,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         (lambda: bell_number(-1), ValueError, "n must be >= 0"),
         (lambda: quarter_exact(2), ArithmeticError, "expected a multiple of 4, got 2"),
         (lambda: run_check("nope"), KeyError, "'nope'"),
-        (lambda: two_block_witness_value(1), DimensionCalculusError, "need g >= 2, got 1"),
+        (
+            lambda: mdec_codim_unitary(2, 2, ()),
+            DimensionCalculusError,
+            "at least one stratum is required for the unitary minimum at (2, 2)",
+        ),
     ],
 )
 def test_validation_keeps_its_exception_and_message(build, error, message):
@@ -129,7 +133,6 @@ def test_unitary_rule_has_one_message(entry, p, q):
         max_product_dim_by_pairs,
         enumerate_matrix_types,
         enumerate_proper_partitions,
-        two_block_witness_value,
         proper_classes,
     ],
     ids=lambda f: f.__name__,
