@@ -5,7 +5,7 @@ combinatorics on block-id tuples and canonical intersection-matrix types;
 dimensions and boundary codimensions of Siegel and unitary moduli; strata
 of the repeated-factor locus with their minimal codimension; the
 partition-indexed symplectic subgroup calculus with its maximum (a
-completion search at every g, checked on every matrix type up to g = 8);
+completion search at every g, checked on every matrix type up to g = 5);
 and a planner for complete families of indecomposable abelian varieties
 with prescribed connected monodromy group.
 """

@@ -166,11 +166,13 @@ def run_max_product(g_max: int) -> SuiteResult:
     """Maximum product dimension equals 2g^2 + g - 4.
 
     The maximizer takes the completion-search value at every g; up to
-    g = 8 the two-block witness must be the only canonical matrix type
+    g = 5 the two-block witness must be the only canonical matrix type
     attaining it.  Up to PAIR_SWEEP_LIMIT the value is also recomputed by
     the direct pair sweep, whose note counts the (Bell(g) - 1)^2 pairs it
-    covers by relabelling invariance.  At every g ``product_dim`` of
-    {1..g-1 | g} versus {1 | 2..g} must attain the maximum.
+    covers by relabelling invariance, and whose maximizing pairs must be
+    the g - 1 of the two-block type, so that type is the only maximizer.
+    At every g ``product_dim`` of {1..g-1 | g} versus {1 | 2..g} must
+    attain the maximum.
     """
     cases = []
     for g in range(2, g_max + 1):

@@ -165,13 +165,62 @@ class TestMaxProductDim:
     @pytest.mark.parametrize("g", range(2, 9))
     def test_two_block_type_is_the_only_maximizer(self, g):
         # why the two-block matrix is the witness at every g
-        values = {m: product_dim_from_matrix(m) for m in enumerate_matrix_types(g)}
-        best = max(values.values())
-        assert [m for m, v in values.items() if v == best] == [IntersectionMatrix(((g - 2, 1), (1, 0)))]
+        assert _maximizing_types(g) == [IntersectionMatrix(((g - 2, 1), (1, 0)))]
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_tied_pairs_of_the_sweep_have_the_only_maximizer_type(self, g):
+        # the pair sweep's certificate and the matrix types name the same maximizer
+        lams = [hecke_groups._consecutive_blocks(sizes) for sizes in proper_classes(g)]
+        mus = enumerate_proper_partitions(g)
+        rows = list(hecke_groups._sweep(lams, mus))
+        best = max(map(max, rows))
+        tied = [(lam, mu) for lam, row in zip(lams, rows) for mu, value in zip(mus, row) if value == best]
+        assert best == max_product_dim_by_pairs(g) and len(tied) == g - 1
+        assert all(block_sizes(lam) == (g - 1, 1) for lam, _ in tied)
+        assert {intersection_matrix(lam, mu) for lam, mu in tied} == set(_maximizing_types(g))
+
+    @pytest.mark.parametrize("g", range(2, 6))
+    def test_shared_columns_lose_nothing(self, g):
+        # every proper lam shares the sweep's block columns, one-element blocks and all singletons included
+        parts = enumerate_proper_partitions(g)
+        rows = list(hecke_groups._sweep(parts, parts))
+        assert len(rows) == len(parts)
+        for lam, row in zip(parts, rows):
+            assert row == [product_dim(lam, mu) for mu in parts]
+
+    @pytest.mark.parametrize("mutation", ("tie", "missing"))
+    def test_maximizing_pair_count_off_the_two_block_type_exits_2(self, capsys, monkeypatch, mutation):
+        # a repeated or a dropped maximizing mu fails the pair sweep's uniqueness certificate
+        real = hecke_groups.enumerate_proper_partitions
+
+        def mutated(g):
+            split = (0,) + (1,) * (g - 1)  # splits element 1 off the large block of lam = {1..g-1 | g}
+            if mutation == "tie":
+                return real(g) + [split]
+            return [mu for mu in real(g) if mu != split or g == 2]  # g = 2 has no other proper mu
+
+        monkeypatch.setattr(hecke_groups, "enumerate_proper_partitions", mutated)
+        code = run(["verify", "L5.5", "--g-max", "4", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        g, count = (2, 2) if mutation == "tie" else (3, 1)
+        assert err == (
+            f"moduli-strata: disagreement: maximizing pairs at g = {g}: "
+            f"two_block {{{(g - 1, 1)}: {g - 1}}}, pair_sweep {{{(g - 1, 1)}: {count}}}\n"
+        )
+
+    @pytest.mark.parametrize("g", range(6, 9))
+    def test_no_matrix_types_above_the_exhaustive_limit(self, monkeypatch, g):
+        # they took 11, 41 and 168 ms at g = 6, 7 and 8 (in-process, 2-vCPU host); the pair sweep certifies uniqueness there
+        def refuse(ground):
+            raise AssertionError(f"matrix types enumerated at g = {ground}")
+
+        monkeypatch.setattr(hecke_groups, "enumerate_matrix_types", refuse)
+        assert max_product_dim(g).value == sp_dim(g) - 4
 
     @pytest.mark.parametrize("shift", (0, 1), ids=("tie", "excess"))
     def test_matrix_type_at_or_above_the_search_value_exits_2(self, capsys, monkeypatch, shift):
-        # a second type tying or exceeding the maximum fails the g <= 8 cross-check
+        # a second type tying or exceeding the maximum fails the g <= 5 cross-check
         real = hecke_groups.product_dim_from_matrix
         rival = IntersectionMatrix(((1, 1), (1, 1)))
         rival_value = sp_dim(4) - 4 + shift
@@ -204,6 +253,14 @@ class TestMaxProductDim:
         assert run(["gamma", "--g", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "moduli-strata: error: gamma: need g >= 2, got 1\n"
+
+
+@lru_cache(maxsize=None)
+def _maximizing_types(g):
+    """The canonical matrix types attaining the largest product dimension on ground size g."""
+    values = {m: product_dim_from_matrix(m) for m in enumerate_matrix_types(g)}
+    best = max(values.values())
+    return [m for m, v in values.items() if v == best]
 
 
 class TestTranslateMargin:
