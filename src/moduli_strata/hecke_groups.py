@@ -117,8 +117,6 @@ class MaxProductDim(namedtuple("MaxProductDim", "value witness closed_form")):
 #: alone took 168 ms (2-vCPU host, Python 3.11).  Above it L5.5's pair sweep certifies the only maximizer, up
 #: to g = 9; the limit stays above 0 while the benchmark's oracle test traces ``enumerate_matrix_types``.
 EXHAUSTIVE_LIMIT = 5
-#: ``gamma_gamma_codim_by_search`` of each proper class, keyed on its sorted block sizes.
-_SEARCHED: dict[tuple[int, ...], int] = {}
 
 
 def max_product_dim(g: int) -> MaxProductDim:
@@ -130,9 +128,9 @@ def max_product_dim(g: int) -> MaxProductDim:
     4(g - largest block of lam) and so at least 4.  Equality forces
     lam = (g-1, 1), whose K(lam) is a star, and a mu that splits off one
     leaf: the two-block matrix ((g-2, 1), (1, 0)) is the only maximizer
-    type, and the witness at every g.  It must attain the search value; up
-    to EXHAUSTIVE_LIMIT it must also be the only canonical matrix type at
-    or above it.  Both checks go through ``agree``; above that limit
+    type, and the witness at every g, its own canonical form.  It must
+    attain the search value; up to EXHAUSTIVE_LIMIT it must also be the
+    only canonical matrix type at or above it.  Both checks go through ``agree``; above that limit
     ``max_product_dim_by_pairs`` certifies uniqueness for L5.5.
     """
     value = sp_dim(g) - min(map(gamma_gamma_codim_by_search, proper_classes(g)))
@@ -245,13 +243,15 @@ def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
 
 def gamma_gamma_codim_by_search(block_sizes: Sequence[int]) -> int:
     """Cross-check of ``gamma_gamma_codim`` by the memoized completion search, run once per class."""
-    sizes = _proper_sizes(block_sizes)
-    if sizes not in _SEARCHED:
-        # max over proper mu of dim(mu) - dim(lam ^ mu), carving first mu's column through
-        # the first row; one that leaves no capacity (its sum is g) is the one-block mu
-        best = max(value + _best_fill(rest) for value, rest in _columns(sizes) if rest)
-        _SEARCHED[sizes] = sp_dim(sum(sizes)) - gamma_dim(sizes) - best
-    return _SEARCHED[sizes]
+    return _search(_proper_sizes(block_sizes))
+
+
+@lru_cache(maxsize=None)
+def _search(sizes: tuple[int, ...]) -> int:
+    """The search on validated sizes, largest first: max over proper mu of dim(mu) - dim(lam ^ mu), carving
+    first mu's column through the first row; one that leaves no capacity (its sum is g) is the one-block mu."""
+    best = max(value + _best_fill(rest) for value, rest in _columns(sizes) if rest)
+    return sp_dim(sum(sizes)) - gamma_dim(sizes) - best
 
 
 def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:

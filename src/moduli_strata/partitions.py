@@ -3,9 +3,9 @@
 A partition is its block-id tuple: entry i - 1 names the block holding
 element i, blocks numbered 0, 1, ... by first appearance (the restricted
 growth string), so equality is structural and no other form is stored.
-Pairs of partitions are summarized by their block-intersection matrix,
-reduced to a canonical representative under row and column permutations;
-the matrix-type maximum downstream factors through that matrix.  The
+A pair of partitions is summarized by its block-intersection matrix, kept
+as given; its type, the class under row and column permutations, is named
+by a canonical representative that only the type enumeration builds.  The
 representative is built row by row, pruning partial forms that are not
 least and merging equivalent states (the prefix pruning and refinement of
 McKay & Piperno, "Practical graph isomorphism II", 2014), so the row
@@ -140,11 +140,12 @@ def canonical_entries(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, 
 
 
 class IntersectionMatrix(namedtuple("IntersectionMatrix", "entries")):
-    """Block-intersection profile of a pair of partitions, canonicalized.
+    """Block-intersection profile of a pair of partitions, its entries kept as given.
 
     Entry (j, k) counts the elements shared by block j of the first
     partition and block k of the second; row sums and column sums recover
-    the two block-size multisets.
+    the two block-size multisets.  Equality is entry by entry: a row or
+    column permutation is another record of the type ``canonical_entries`` names.
     """
 
     __slots__ = ()
@@ -163,7 +164,7 @@ class IntersectionMatrix(namedtuple("IntersectionMatrix", "entries")):
             raise ValueError("zero row")
         if any(all(row[j] == 0 for row in entries) for j in range(width)):
             raise ValueError("zero column")
-        return super().__new__(cls, canonical_entries(entries))
+        return super().__new__(cls, entries)
 
     @property
     def row_sums(self) -> tuple[int, ...]:
@@ -245,9 +246,8 @@ def enumerate_matrix_types(g: int) -> list[IntersectionMatrix]:
     A type is a canonical class of matrices with total g, at least two rows
     and two columns and no zero row or column; each is realized by at least
     one pair of proper partitions, and every pair of proper partitions
-    realizes exactly one type.  The doubly-lexical ``_tables`` generates
-    every canonical representative, so building each type is a
-    ``canonical_entries`` cache hit.
+    realizes exactly one type.  Each is listed by its ``canonical_entries``
+    representative, which the doubly-lexical ``_tables`` generates.
     """
     seen: set[tuple[tuple[int, ...], ...]] = set()
     margins = proper_classes(g)

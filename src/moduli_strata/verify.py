@@ -88,7 +88,7 @@ def _unitary_box(g_max: int):
 def run_product_min(g_max: int) -> SuiteResult:
     """Minimal codimension in pure products equals 2*g1 - 2, the closed form with no fixed part."""
     cases = [
-        _min_case({"varying_dims": list(dims)}, mdec_codim_fixedpart(DecompositionShape((), dims)))
+        _min_case({"varying_dims": dims}, mdec_codim_fixedpart(DecompositionShape((), dims)))
         for dims in _sorted_tuples(range(2, g_max + 1), 4)
     ]
     return f"sorted tuples, entries in [2,{g_max}], length <= 4", cases, []
@@ -111,9 +111,8 @@ def run_fixedpart_min(g_max: int) -> SuiteResult:
         for varying in varying_choices:
             result = mdec_codim_fixedpart(DecompositionShape(fixed, varying))
             bound_only = result.closed_form is None
-            inputs = {"fixed_dims": list(fixed), "varying_dims": list(varying)}
             note = "closed form not asserted (empty absorption strata); bound check only" if bound_only else ""
-            cases.append(_min_case(inputs, result, note))
+            cases.append(_min_case({"fixed_dims": fixed, "varying_dims": varying}, result, note))
     notes = [f"{sum(c.expected is None for c in cases)} shapes flagged with empty absorption strata"]
     return f"fixed/varying dims <= {g_max}, <= 3 factors each", cases, notes
 
@@ -184,8 +183,7 @@ def run_max_product(g_max: int) -> SuiteResult:
             notes.append(f"pair sweep over {(bell_number(g) - 1) ** 2} pairs gives {routes['pair_sweep']}")
         routes["two_block"] = product_dim((0,) * (g - 1) + (1,), (0,) + (1,) * (g - 1))
         notes.append(f"two-block family attains {routes['two_block']}")
-        witness = [list(r) for r in result.witness.entries]
-        cases.append(_routes_case({"g": g}, routes, witness, "; ".join(notes)))
+        cases.append(_routes_case({"g": g}, routes, result.witness.entries, "; ".join(notes)))
     return f"g in 2..{g_max}", cases, []
 
 
@@ -211,8 +209,8 @@ def run_translate_margin(g_max: int) -> SuiteResult:
             }
             if g <= PAIR_ROUTE_LIMIT:
                 routes["pair_sweep"] = gamma_gamma_codim_by_pairs(sizes)
-            case = _routes_case({"g": g, "block_sizes": list(sizes)}, routes)
-            cases.append(case if case.agree else case._replace(witness={"block_sizes": list(sizes), **routes}))
+            case = _routes_case({"g": g, "block_sizes": sizes}, routes)
+            cases.append(case if case.agree else case._replace(witness={"block_sizes": sizes, **routes}))
     notes = [
         f"routes: closed form 4(g - largest block) (expected) vs completion search (computed) for g "
         f"in 2..{g_max}; direct pair sweep also for g in 2..{min(g_max, PAIR_ROUTE_LIMIT)}",

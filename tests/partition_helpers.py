@@ -12,7 +12,7 @@ import itertools
 from math import factorial
 
 from moduli_strata.errors import DimensionCalculusError
-from moduli_strata.partitions import IntersectionMatrix
+from moduli_strata.partitions import IntersectionMatrix, canonical_entries
 
 
 def canonical(labels):
@@ -44,13 +44,13 @@ def relabel(partition, perm):
 
 
 def intersection_matrix(lam, mu):
-    """Canonical intersection matrix of a pair of partitions."""
+    """Intersection-matrix type of a pair of partitions: its counts, canonicalized by ``canonical_entries``."""
     if len(lam) != len(mu):
         raise DimensionCalculusError(f"ground sizes differ: {len(lam)} vs {len(mu)}")
     counts = [[0] * (max(mu) + 1) for _ in range(max(lam) + 1)]
     for a, b in zip(lam, mu):
         counts[a][b] += 1
-    return IntersectionMatrix(tuple(tuple(r) for r in counts))
+    return IntersectionMatrix(canonical_entries(tuple(map(tuple, counts))))
 
 
 def realize(matrix):

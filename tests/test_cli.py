@@ -127,9 +127,9 @@ class TestExitCodes:
 
         monkeypatch.setattr(verify, "gamma_gamma_codim", off_by_four)
         bad = verify.run_check("C5.6", 5).disagreements
-        assert [(c.input["block_sizes"], c.expected, c.computed) for c in bad] == [([3, 1], 8, 4)]
+        assert [(c.input["block_sizes"], c.expected, c.computed) for c in bad] == [((3, 1), 8, 4)]
         assert bad[0].witness == {
-            "block_sizes": [3, 1], "closed_form": 8, "completion_search": 4, "pair_sweep": 4,
+            "block_sizes": (3, 1), "closed_form": 8, "completion_search": 4, "pair_sweep": 4,
         }
         code, out, err = invoke(capsys, ["verify", "C5.6", "--g-max", "5", "--json"])
         assert code == 2 and "Traceback" not in err

@@ -8,8 +8,9 @@ built only there and in the fixed-part bound, every verification case
 is built by one of two builders in ``verify``, only ``cli.run`` reads
 the clock, no record stores a verdict or budget beside the values it is
 derived from, no record has a second constructor, the completion search
-has one entry and reads no closed form, and no library module imports a
-name it never reads.
+has one entry and reads no closed form, only the matrix-type enumeration
+canonicalizes a matrix, and no library module imports a name it never
+reads.
 """
 
 import ast
@@ -125,16 +126,23 @@ def test_cases_are_built_only_by_the_two_builders():
 
 
 #: The completion search: ``gamma_gamma_codim_by_search`` is its one entry,
-#: and ``_best_fill`` recurses on what ``_columns`` leaves.
-SEARCH = [("hecke_groups.py", "_best_fill"), ("hecke_groups.py", "gamma_gamma_codim_by_search")]
+#: memoized by ``_search`` on the validated sizes, and ``_best_fill``
+#: recurses on what ``_columns`` leaves.
+SEARCH = [("hecke_groups.py", "_best_fill"), ("hecke_groups.py", "_search")]
 
 
 def test_completion_search_has_one_entry_and_reads_no_closed_form():
+    assert _call_sites("_search") == [("hecke_groups.py", "gamma_gamma_codim_by_search")]
     assert _call_sites("_columns") == SEARCH
     assert _call_sites("_best_fill") == SEARCH
     # an independent route: no part of the search reads 4(g - largest block)
-    search = {"_columns", "_best_fill", "gamma_gamma_codim_by_search"}
+    search = {"_columns", "_best_fill", "_search", "gamma_gamma_codim_by_search"}
     assert not [site for site in _call_sites("gamma_gamma_codim") if site[1] in search]
+
+
+def test_only_the_type_enumeration_canonicalizes():
+    # ``IntersectionMatrix`` keeps its entries as given; a matrix type is named where types are enumerated
+    assert _call_sites("canonical_entries") == [("partitions.py", "enumerate_matrix_types")]
 
 
 def _unread_imports(path: Path) -> list[str]:

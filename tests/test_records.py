@@ -49,7 +49,7 @@ from moduli_strata import (
 )
 from moduli_strata.hecke_groups import MaxProductDim
 from moduli_strata.moduli import quarter_exact, siegel_dim, unitary_dim
-from moduli_strata.partitions import proper_classes
+from moduli_strata.partitions import canonical_entries, proper_classes
 from moduli_strata.verify import CHECKS, MIN_G_MAX
 
 
@@ -188,10 +188,12 @@ def test_group_expr_orders_mixed_atoms_canonically():
 
 
 def test_row_permuted_matrices_are_one_key():
+    # the key is the type, ``canonical_entries``; the records keep their entries and compare them entry by entry
     a = IntersectionMatrix(((2, 0, 1), (0, 1, 1)))
     b = IntersectionMatrix(((0, 1, 1), (2, 0, 1)))
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
+    assert len({canonical_entries(a.entries), canonical_entries(b.entries)}) == 1
+    assert canonical_entries(a.entries) == ((1, 2, 0), (1, 0, 1))
+    assert a != b and len({a, b}) == 2
 
 
 @pytest.mark.parametrize(
@@ -212,6 +214,16 @@ def test_run_check_returns_a_run_whose_cases_are_a_list():
     run = run_check("L3.1", MIN_G_MAX)
     assert isinstance(run, VerificationRun) and not isinstance(run, tuple)
     assert isinstance(run.cases, list) and isinstance(run.notes, list)
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_case_inputs_hold_only_ints_and_tuples(check_id):
+    # immutable inputs, so a case is safe to share; the report writes each tuple as a JSON array
+    def kinds(value):
+        return {tuple}.union(*map(kinds, value)) if type(value) is tuple else {type(value)}
+
+    for case in run_check(check_id, 3).cases:
+        assert set().union(*map(kinds, case.input.values())) <= {int, tuple}, case.input
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
