@@ -8,18 +8,20 @@ product of two such subgroups has dimension
 
 where ^ is the common refinement: the pairwise intersection of the two
 subgroups is block-diagonal on the refinement.  Partitions are block-id
-tuples (see ``partitions``); the pair sweep is the one place that formula
-is evaluated on them.  It adds to dim(mu), block by block of lam, what the
-block adds over mu's restriction to it, memoized on mu's block ids there;
-each distinct block of lam gets its column of gains, one per mu, once per
-sweep.  The same number can be read off the intersection matrix alone: row
-sums, column sums and nonzero entries contribute with the l(2l+1) weight.
+tuples (see ``partitions``).  The dimension has three formulas, one entry
+each, and ``verify L5.5`` reads each on its own route: ``product_dim`` is
+the definition, on the refinement ``meet`` builds (the two-block route);
+``_sweep``, called only by the class sweep (the pair route, C5.6's too),
+adds to dim(mu), block by block of lam, what the block adds over mu's
+restriction to it, memoized on mu's block ids there; and
+``product_dim_from_matrix`` reads the intersection matrix alone: row sums,
+column sums and nonzero entries, with the l(2l+1) weight (the matrix types).
 
 ``max_product_dim`` takes its value from a memoized best-completion search
 over column structures at every ground size, and its witness is always the
 two-block matrix ((g-2, 1), (1, 0)), the only maximizer type (see
 ``gamma_gamma_codim``); up to 5 every canonical intersection-matrix type is
-also enumerated.  The pair sweep checks the value on (p(g) - 1)(Bell(g) - 1)
+also enumerated.  The class sweep checks the value on (p(g) - 1)(Bell(g) - 1)
 pairs, one first partition per block-size class, since relabelling both
 partitions leaves it unchanged, and counts the maximizing pairs to certify
 the two-block type the only one.  Every cross-check goes through ``agree``.
@@ -48,7 +50,6 @@ from .partitions import (
     enumerate_proper_partitions,
     meet,
     proper_classes,
-    renumber,
 )
 
 
@@ -90,10 +91,9 @@ def _sweep(lams: Iterable[Partition], mus: Sequence[Partition]) -> Iterator[list
 
 
 def product_dim(lam: Partition, mu: Partition) -> int:
-    """Dimension of the product of the two partition subgroups; any labels name the blocks, as in ``meet``."""
-    meet(lam, mu)  # for its checks: the ground sizes agree and g >= 1
-    (row,) = _sweep([renumber(lam)], [renumber(mu)])
-    return row[0]
+    """dim(lam) + dim(mu) - dim(lam ^ mu) on the refinement ``meet`` builds; any labels name the blocks, as there."""
+    dim_lam, dim_mu, dim_meet = (gamma_dim(map(p.count, set(p))) for p in (lam, mu, meet(lam, mu)))
+    return dim_lam + dim_mu - dim_meet
 
 
 def product_dim_from_matrix(matrix: IntersectionMatrix) -> int:
@@ -143,22 +143,28 @@ def max_product_dim(g: int) -> MaxProductDim:
     return MaxProductDim(value, witness, sp_dim(g) - 4)
 
 
-def max_product_dim_by_pairs(g: int) -> int:
-    """Independent maximizer: direct sweep over proper partition pairs, which also certifies the maximizer type.
+def _class_sweep(g: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Each proper class's best product dimension, as consecutive blocks, against all proper mu, and its tie count."""
+    classes = proper_classes(g)
+    lams = (tuple(i for i, l in enumerate(sizes) for _ in range(l)) for sizes in classes)
+    rows = _sweep(lams, enumerate_proper_partitions(g))
+    return {sizes: (top := max(row), row.count(top)) for sizes, row in zip(classes, rows)}
 
-    ``product_dim`` is unchanged when both partitions are relabelled by
-    the same permutation, so lam runs over one partition per block-size
+
+def max_product_dim_by_pairs(g: int) -> int:
+    """Independent maximizer: the class sweep's gains over proper partition pairs, which also certify the maximizer.
+
+    The product dimension is unchanged when both partitions are relabelled
+    by the same permutation, so lam runs over one partition per block-size
     class (consecutive blocks) against every proper mu: (p(g) - 1)(Bell(g) - 1)
     pairs stand for all (Bell(g) - 1)^2.  The same relabelling moves any
     maximizing pair onto a swept one, so a second maximizer type would show
     as another class among the maximizing pairs, or as more than the g - 1
     pairs of class (g - 1, 1) that split one element off lam's large block,
     all of type ((g-2, 1), (1, 0)).  ``agree`` checks those counts; L5.5
-    checks that the value is the witness's.
+    checks that the value is the witness's and the definition's.
     """
-    classes = proper_classes(g)
-    rows = _sweep(map(_consecutive_blocks, classes), enumerate_proper_partitions(g))
-    tops = {sizes: (top := max(row), row.count(top)) for sizes, row in zip(classes, rows)}
+    tops = _class_sweep(g)
     value = max(top for top, _ in tops.values())
     at_value = {sizes: count for sizes, (top, count) in tops.items() if top == value}
     agree(f"maximizing pairs at g = {g}", two_block={(g - 1, 1): g - 1}, pair_sweep=at_value)
@@ -219,11 +225,6 @@ def _proper_sizes(block_sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _consecutive_blocks(sizes: Sequence[int]) -> Partition:
-    """The partition of {1, ..., g} into consecutive runs of the given sizes."""
-    return tuple(i for i, l in enumerate(sizes) for _ in range(l))
-
-
 def gamma_gamma_codim(block_sizes: Sequence[int]) -> int:
     """Codimension of the union of translates of a proper lam subgroup.
 
@@ -254,9 +255,6 @@ def _search(sizes: tuple[int, ...]) -> int:
     return sp_dim(sum(sizes)) - gamma_dim(sizes) - best
 
 
-def gamma_gamma_codim_by_pairs(block_sizes: Sequence[int]) -> int:
-    """Brute-force cross-check of ``gamma_gamma_codim`` over all proper mu."""
-    sizes = _proper_sizes(block_sizes)
-    g = sum(sizes)
-    (row,) = _sweep([_consecutive_blocks(sizes)], enumerate_proper_partitions(g))
-    return sp_dim(g) - max(row)
+def gamma_gamma_codims_by_pairs(g: int) -> dict[tuple[int, ...], int]:
+    """Brute-force cross-check of ``gamma_gamma_codim`` for every proper class of ground size g, from one sweep."""
+    return {sizes: sp_dim(g) - top for sizes, (top, _) in _class_sweep(g).items()}

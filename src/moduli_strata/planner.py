@@ -72,7 +72,7 @@ def derived_mt(spec: FamilySpec) -> GroupExpr:
     return GroupExpr([SUFormAtom(spec.p, spec.q)])
 
 
-class PlanReport(namedtuple("PlanReport", "spec mdec boundary monodromy hecke_margin notes", defaults=((),))):
+class PlanReport(namedtuple("PlanReport", "spec mdec boundary monodromy hecke_margin notes")):
     """What ``plan_family`` computes for one family spec; budget, d_max and feasibility derive from it."""
 
     __slots__ = ()
@@ -179,7 +179,7 @@ def realize_group(target: GroupExpr, g_prime: int) -> FamilySpec:
     raise DimensionCalculusError("target must be a product of Sp atoms or a single SU-form atom")
 
 
-class KodairaReport(namedtuple("KodairaReport", "plan torelli_codim notes", defaults=((),))):
+class KodairaReport(namedtuple("KodairaReport", "plan torelli_codim notes")):
     """Budget chain for a complete one-dimensional family of curves.
 
     The fiber-genus-h construction works inside the locus of products of a

@@ -90,7 +90,7 @@ class DecompositionShape(namedtuple("DecompositionShape", "fixed_dims varying_di
         return sum(siegel_dim(d) for d in self.varying_dims)
 
 
-class MinCodim(namedtuple("MinCodim", "codim witness closed_form notes", defaults=((),))):
+class MinCodim(namedtuple("MinCodim", "codim witness closed_form notes")):
     """Minimum codimension over a stratum family, with audit trail.
 
     ``closed_form`` is the published formula's value where one applies.

@@ -17,8 +17,8 @@ from .errors import DimensionCalculusError
 from .hecke_groups import (
     gamma_dim,
     gamma_gamma_codim,
-    gamma_gamma_codim_by_pairs,
     gamma_gamma_codim_by_search,
+    gamma_gamma_codims_by_pairs,
     max_product_dim,
     max_product_dim_by_pairs,
     product_dim,
@@ -162,16 +162,16 @@ PAIR_SWEEP_LIMIT = 9
 
 
 def run_max_product(g_max: int) -> SuiteResult:
-    """Maximum product dimension equals 2g^2 + g - 4.
+    """Maximum product dimension equals 2g^2 + g - 4, on four routes that read four formulas.
 
     The maximizer takes the completion-search value at every g; up to
     g = 5 the two-block witness must be the only canonical matrix type
-    attaining it.  Up to PAIR_SWEEP_LIMIT the value is also recomputed by
-    the direct pair sweep, whose note counts the (Bell(g) - 1)^2 pairs it
-    covers by relabelling invariance, and whose maximizing pairs must be
-    the g - 1 of the two-block type, so that type is the only maximizer.
-    At every g ``product_dim`` of {1..g-1 | g} versus {1 | 2..g} must
-    attain the maximum.
+    attaining it, by the matrix formula.  Up to PAIR_SWEEP_LIMIT the value
+    is also recomputed by the pair sweep's block gains, whose note counts
+    the (Bell(g) - 1)^2 pairs it covers by relabelling invariance, and whose
+    maximizing pairs must be the g - 1 of the two-block type, so that type
+    is the only maximizer.  At every g the definition, ``product_dim`` of
+    {1..g-1 | g} versus {1 | 2..g}, must attain the maximum.
     """
     cases = []
     for g in range(2, g_max + 1):
@@ -202,13 +202,11 @@ def run_translate_margin(g_max: int) -> SuiteResult:
     """
     cases = []
     for g in range(2, g_max + 1):
+        by_pairs = gamma_gamma_codims_by_pairs(g) if g <= PAIR_ROUTE_LIMIT else {}
         for sizes in proper_classes(g):
-            routes = {
-                "closed_form": gamma_gamma_codim(sizes),
-                "completion_search": gamma_gamma_codim_by_search(sizes),
-            }
-            if g <= PAIR_ROUTE_LIMIT:
-                routes["pair_sweep"] = gamma_gamma_codim_by_pairs(sizes)
+            routes = {"closed_form": gamma_gamma_codim(sizes), "completion_search": gamma_gamma_codim_by_search(sizes)}
+            if by_pairs:
+                routes["pair_sweep"] = by_pairs[sizes]
             case = _routes_case({"g": g, "block_sizes": sizes}, routes)
             cases.append(case if case.agree else case._replace(witness={"block_sizes": sizes, **routes}))
     notes = [

@@ -12,13 +12,7 @@ import itertools
 from math import factorial
 
 from moduli_strata.errors import DimensionCalculusError
-from moduli_strata.partitions import IntersectionMatrix, canonical_entries
-
-
-def canonical(labels):
-    """The block-id tuple of arbitrary labels: blocks renumbered by first appearance."""
-    ids = {}
-    return tuple(ids.setdefault(x, len(ids)) for x in labels)
+from moduli_strata.partitions import IntersectionMatrix, canonical_entries, renumber
 
 
 def blocks(*parts):
@@ -27,7 +21,7 @@ def blocks(*parts):
     for i, block in enumerate(parts):
         for x in block:
             labels[x - 1] = i
-    return canonical(labels)
+    return renumber(labels)
 
 
 def blocks_of(partition):
@@ -40,7 +34,7 @@ def relabel(partition, perm):
     labels = [0] * len(partition)
     for x, b in enumerate(partition, start=1):
         labels[perm[x - 1] - 1] = b
-    return canonical(labels)
+    return renumber(labels)
 
 
 def intersection_matrix(lam, mu):
@@ -60,7 +54,7 @@ def realize(matrix):
     first partition and block k of the second when it falls in cell (j, k).
     """
     cells = [(j, k) for j, row in enumerate(matrix.entries) for k, count in enumerate(row) for _ in range(count)]
-    return canonical(j for j, _ in cells), canonical(k for _, k in cells)
+    return renumber(j for j, _ in cells), renumber(k for _, k in cells)
 
 
 def _group_indices(sums):

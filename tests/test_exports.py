@@ -8,9 +8,11 @@ built only there and in the fixed-part bound, every verification case
 is built by one of two builders in ``verify``, only ``cli.run`` reads
 the clock, no record stores a verdict or budget beside the values it is
 derived from, no record has a second constructor, the completion search
-has one entry and reads no closed form, only the matrix-type enumeration
-canonicalizes a matrix, and no library module imports a name it never
-reads.
+has one entry and reads no closed form, each formula for the pair
+dimension has one entry (the definition ``product_dim`` reads ``meet``'s
+refinement, and one class sweep per ground size is the only reader of the
+block gains), only the matrix-type enumeration canonicalizes a matrix, and
+no library module imports a name it never reads.
 """
 
 import ast
@@ -138,6 +140,21 @@ def test_completion_search_has_one_entry_and_reads_no_closed_form():
     # an independent route: no part of the search reads 4(g - largest block)
     search = {"_columns", "_best_fill", "_search", "gamma_gamma_codim_by_search"}
     assert not [site for site in _call_sites("gamma_gamma_codim") if site[1] in search]
+
+
+#: The class sweep: one per ground size, read by the pair sweep of L5.5 and by the pair route of C5.6.
+CLASS_SWEEP = [("hecke_groups.py", "gamma_gamma_codims_by_pairs"), ("hecke_groups.py", "max_product_dim_by_pairs")]
+
+
+def test_block_gains_have_one_entry():
+    assert _call_sites("_sweep") == [("hecke_groups.py", "_class_sweep")]
+    assert _call_sites("_class_sweep") == CLASS_SWEEP
+
+
+def test_product_dim_is_the_definition():
+    # it reads the refinement ``meet`` builds and none of the block gains, so L5.5's two-block route is its own
+    reads = {callee: ("hecke_groups.py", "product_dim") in _call_sites(callee) for callee in ("meet", "_sweep")}
+    assert reads == {"meet": True, "_sweep": False}
 
 
 def test_only_the_type_enumeration_canonicalizes():

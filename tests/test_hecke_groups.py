@@ -13,8 +13,8 @@ from moduli_strata.errors import DimensionCalculusError
 from moduli_strata.hecke_groups import (
     gamma_dim,
     gamma_gamma_codim,
-    gamma_gamma_codim_by_pairs,
     gamma_gamma_codim_by_search,
+    gamma_gamma_codims_by_pairs,
     max_product_dim,
     max_product_dim_by_pairs,
     product_dim,
@@ -31,15 +31,16 @@ from moduli_strata.partitions import (
     iter_all_partitions,
     meet,
     proper_classes,
+    renumber,
 )
-from partition_helpers import blocks, canonical, intersection_matrix
+from partition_helpers import blocks, intersection_matrix
 
 
 @st.composite
 def partition_pairs(draw, max_g=6):
     g = draw(st.integers(2, max_g))
-    a = canonical([draw(st.integers(0, g - 1)) for _ in range(g)])
-    b = canonical([draw(st.integers(0, g - 1)) for _ in range(g)])
+    a = renumber([draw(st.integers(0, g - 1)) for _ in range(g)])
+    b = renumber([draw(st.integers(0, g - 1)) for _ in range(g)])
     return a, b
 
 
@@ -132,8 +133,8 @@ class TestMaxProductDim:
     @pytest.mark.parametrize("g", range(2, 7))
     def test_pair_sweep_equals_per_class_pair_sweeps(self, g):
         # the two pair routes meet class by class: the best lam class leaves the least codimension
-        codims = [gamma_gamma_codim_by_pairs(sizes) for sizes in proper_classes(g)]
-        assert max_product_dim_by_pairs(g) == sp_dim(g) - min(codims)
+        codims = gamma_gamma_codims_by_pairs(g)
+        assert max_product_dim_by_pairs(g) == sp_dim(g) - min(codims.values())
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_reduced_pair_sweep_equals_all_pairs(self, g):
@@ -178,7 +179,7 @@ class TestMaxProductDim:
     @pytest.mark.parametrize("g", range(2, 9))
     def test_tied_pairs_of_the_sweep_have_the_only_maximizer_type(self, g):
         # the pair sweep's certificate and the matrix types name the same maximizer
-        lams = [hecke_groups._consecutive_blocks(sizes) for sizes in proper_classes(g)]
+        lams = [tuple(i for i, l in enumerate(sizes) for _ in range(l)) for sizes in proper_classes(g)]
         mus = enumerate_proper_partitions(g)
         rows = list(hecke_groups._sweep(lams, mus))
         best = max(map(max, rows))
@@ -195,6 +196,21 @@ class TestMaxProductDim:
         assert len(rows) == len(parts)
         for lam, row in zip(parts, rows):
             assert row == [product_dim(lam, mu) for mu in parts]
+
+    def test_definition_reads_no_block_gains(self, monkeypatch):
+        # one more for every two-element block moves the sweep's gains formula and leaves the definition alone
+        real = hecke_groups._Gains.__missing__
+
+        def shifted(gains, ids):
+            gain = gains[ids] = real(gains, ids) + (len(ids) == 2)
+            return gain
+
+        monkeypatch.setattr(hecke_groups._Gains, "__missing__", shifted)
+        parts = enumerate_proper_partitions(3)
+        rows = list(hecke_groups._sweep(parts, parts))
+        assert rows != [[product_dim(lam, mu) for mu in parts] for lam in parts]
+        for g in range(2, 9):
+            assert product_dim((0,) * (g - 1) + (1,), (0,) + (1,) * (g - 1)) == sp_dim(g) - 4
 
     @pytest.mark.parametrize("mutation", ("tie", "missing"))
     def test_maximizing_pair_count_off_the_two_block_type_exits_2(self, capsys, monkeypatch, mutation):
@@ -282,15 +298,17 @@ class TestTranslateMargin:
     @pytest.mark.parametrize("g", range(2, 7))
     def test_completion_matches_brute_force(self, g):
         # closed form and completion search on the block sizes equal the
-        # pair sweep against every proper partition itself; the pair route
-        # sweeps against the consecutive layout of each size class
+        # definition against every proper partition itself; the pair route
+        # sweeps the consecutive layout of every size class at once
         parts = enumerate_proper_partitions(g)
         for lam in parts:
             sizes = block_sizes(lam)
             direct = sp_dim(g) - max(product_dim(mu, lam) for mu in parts)
             assert gamma_gamma_codim(sizes) == gamma_gamma_codim_by_search(sizes) == direct
-        for sizes in {tuple(sorted(block_sizes(lam))) for lam in parts}:
-            assert gamma_gamma_codim_by_pairs(sizes) == gamma_gamma_codim(sizes)
+        codims = gamma_gamma_codims_by_pairs(g)
+        assert set(codims) == {tuple(sorted(block_sizes(lam), reverse=True)) for lam in parts}
+        for sizes, codim in codims.items():
+            assert codim == gamma_gamma_codim(sizes)
 
     def test_closed_form_matches_search_on_every_class(self):
         classes = [s for g in range(2, 13) for s in proper_classes(g)]

@@ -24,7 +24,6 @@ from moduli_strata.partitions import (
 from partition_helpers import (
     blocks,
     blocks_of,
-    canonical,
     canonical_entries_by_orders,
     intersection_matrix,
     realize,
@@ -40,7 +39,7 @@ def partition_pairs(draw, max_g=6, count=2):
     parts = []
     for _ in range(count):
         labels = [draw(st.integers(0, g - 1)) for _ in range(g)]
-        parts.append(canonical(labels))
+        parts.append(renumber(labels))
     return (g, *parts)
 
 
